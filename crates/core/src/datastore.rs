@@ -3,19 +3,28 @@
 //!
 //! In [`DataMode::Full`] the simulation doesn't just account for time — every
 //! write stores real bytes and real parity (computed with `draid-ec` using
-//! the mode-appropriate path: delta XOR for read-modify-write, full encode
+//! the mode-appropriate path: delta XOR for read-modify-write, encode
 //! otherwise), and every read returns bytes, reconstructing through the
 //! Reed-Solomon decoder when members are lost. Integration tests assert
 //! end-to-end data integrity across failures, which validates the layout,
 //! write-mode, and recovery logic the timing model alone could not.
 //!
+//! Parity is column-wise: byte `o` of P and Q depends only on byte `o` of
+//! each data chunk. So every operation works on the byte window it touches
+//! and updates the stored chunks in place — a write re-derives parity only
+//! over `[min segment offset, max segment end)`, a degraded read decodes
+//! only the bytes it returns. A segment-less write (parity resync) has the
+//! whole chunk as its window, which is what lets repair heal any parity
+//! byte.
+//!
 //! [`DataMode::Full`]: crate::DataMode::Full
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
+use std::sync::OnceLock;
 
 use draid_ec::{Raid5, Raid6, ReedSolomon};
 
-use crate::config::RaidLevel;
 use crate::layout::{Layout, StripeIo, WriteMode};
 
 /// Per-array chunk contents keyed by `(stripe, member)`.
@@ -30,6 +39,9 @@ pub struct ChunkStore {
     layout: Layout,
     codec: ReedSolomon,
     chunks: BTreeMap<(u64, usize), Vec<u8>>,
+    /// The contents of every unwritten chunk, borrowed instead of
+    /// materialized; allocated on first use.
+    zeros: OnceLock<Vec<u8>>,
 }
 
 impl ChunkStore {
@@ -39,6 +51,7 @@ impl ChunkStore {
             layout,
             codec: ReedSolomon::new(layout.data_chunks(), layout.level().parity_count()),
             chunks: BTreeMap::new(),
+            zeros: OnceLock::new(),
         }
     }
 
@@ -47,16 +60,33 @@ impl ChunkStore {
         self.chunks.len()
     }
 
-    fn chunk(&self, stripe: u64, member: usize) -> Vec<u8> {
-        self.chunks
-            .get(&(stripe, member))
-            .cloned()
-            .unwrap_or_else(|| vec![0; self.layout.chunk_size() as usize])
+    fn chunk_len(&self) -> usize {
+        self.layout.chunk_size() as usize
     }
 
-    fn put_chunk(&mut self, stripe: u64, member: usize, data: Vec<u8>) {
-        debug_assert_eq!(data.len() as u64, self.layout.chunk_size());
-        self.chunks.insert((stripe, member), data);
+    /// The chunk `member` stores for `stripe` (zeros if never written).
+    fn chunk(&self, stripe: u64, member: usize) -> &[u8] {
+        match self.chunks.get(&(stripe, member)) {
+            Some(chunk) => chunk,
+            None => self.zeros.get_or_init(|| vec![0; self.chunk_len()]),
+        }
+    }
+
+    /// The stored chunk, materialized as zeros on first write.
+    fn chunk_mut(&mut self, stripe: u64, member: usize) -> &mut [u8] {
+        let len = self.chunk_len();
+        self.chunks
+            .entry((stripe, member))
+            .or_insert_with(|| vec![0; len])
+    }
+
+    /// Moves a chunk out of the store (zeros if never written) so it can be
+    /// updated while the other chunks of its stripe are borrowed.
+    fn take_chunk(&mut self, stripe: u64, member: usize) -> Vec<u8> {
+        let len = self.chunk_len();
+        self.chunks
+            .remove(&(stripe, member))
+            .unwrap_or_else(|| vec![0; len])
     }
 
     /// Discards every chunk stored on `member` — the drive is gone (§5.4
@@ -66,37 +96,63 @@ impl ChunkStore {
         self.chunks.retain(|&(_, m), _| m != member);
     }
 
-    /// Reads the stripe's data chunks, reconstructing any whose member is in
-    /// `failed` via the erasure decoder.
+    /// Decodes window `win` of data chunk `k` into `out` from the window of
+    /// every member not in `failed`.
     ///
     /// # Panics
     ///
     /// Panics if more members failed than the level tolerates.
-    fn data_chunks(&self, stripe: u64, failed: &BTreeSet<usize>) -> Vec<Vec<u8>> {
-        let d = self.layout.data_chunks();
-        let p = self.layout.level().parity_count();
-        if failed.is_empty() {
-            return (0..d)
-                .map(|k| self.chunk(stripe, self.layout.data_member(stripe, k)))
-                .collect();
-        }
-        let mut shards: Vec<Option<Vec<u8>>> = Vec::with_capacity(d + p);
-        for k in 0..d {
-            let m = self.layout.data_member(stripe, k);
-            shards.push((!failed.contains(&m)).then(|| self.chunk(stripe, m)));
-        }
-        let pm = self.layout.p_member(stripe);
-        shards.push((!failed.contains(&pm)).then(|| self.chunk(stripe, pm)));
-        if let Some(qm) = self.layout.q_member(stripe) {
-            shards.push((!failed.contains(&qm)).then(|| self.chunk(stripe, qm)));
-        }
+    fn decode_into(
+        &self,
+        stripe: u64,
+        k: usize,
+        win: Range<usize>,
+        failed: &BTreeSet<usize>,
+        out: &mut [u8],
+    ) {
+        let l = &self.layout;
+        let shards: Vec<Option<&[u8]>> = (0..l.data_chunks())
+            .map(|i| l.data_member(stripe, i))
+            .chain(std::iter::once(l.p_member(stripe)))
+            .chain(l.q_member(stripe))
+            .map(|m| (!failed.contains(&m)).then(|| &self.chunk(stripe, m)[win.clone()]))
+            .collect();
         self.codec
-            .reconstruct(&mut shards)
+            .decode_data_into(&shards, k, out)
             .expect("failures exceed the RAID level's tolerance");
-        shards
-            .into_iter()
-            .take(d)
-            .map(|s| s.expect("reconstructed"))
+    }
+
+    /// Decodes window `win` of every data chunk whose member is in `failed`,
+    /// as `(data index, bytes)`.
+    fn decode_lost(
+        &self,
+        stripe: u64,
+        win: Range<usize>,
+        failed: &BTreeSet<usize>,
+    ) -> Vec<(usize, Vec<u8>)> {
+        (0..self.layout.data_chunks())
+            .filter(|&k| failed.contains(&self.layout.data_member(stripe, k)))
+            .map(|k| {
+                let mut buf = vec![0; win.len()];
+                self.decode_into(stripe, k, win.clone(), failed, &mut buf);
+                (k, buf)
+            })
+            .collect()
+    }
+
+    /// Window `win` of every data chunk in index order: stored bytes, or the
+    /// `lost` buffer of a data index that has one.
+    fn data_window<'a>(
+        &'a self,
+        stripe: u64,
+        win: Range<usize>,
+        lost: &'a [(usize, Vec<u8>)],
+    ) -> Vec<&'a [u8]> {
+        (0..self.layout.data_chunks())
+            .map(|k| match lost.iter().find(|(i, _)| *i == k) {
+                Some((_, buf)) => &buf[..],
+                None => &self.chunk(stripe, self.layout.data_member(stripe, k))[win.clone()],
+            })
             .collect()
     }
 
@@ -110,27 +166,20 @@ impl ChunkStore {
 
     /// Gathers the bytes a read of `io` must produce into a caller-provided
     /// buffer (cleared first) — the zero-copy form of [`ChunkStore::read`].
-    /// The healthy path borrows stored chunks directly; only a degraded read
-    /// materializes reconstructed chunks.
+    /// Segments on healthy members are copied from the stored chunks; a
+    /// segment on a failed member is decoded, over its own bytes only,
+    /// straight into `out`.
     pub fn read_into(&self, out: &mut Vec<u8>, io: &StripeIo, failed: &BTreeSet<usize>) {
         out.clear();
         out.reserve(io.bytes() as usize);
-        let needs_reconstruct = io.segments.iter().any(|s| failed.contains(&s.member));
-        if needs_reconstruct {
-            let data = self.data_chunks(io.stripe, failed);
-            for seg in io.segments.iter() {
-                let chunk = &data[seg.data_index];
-                out.extend_from_slice(&chunk[seg.offset as usize..(seg.offset + seg.len) as usize]);
-            }
-        } else {
-            for seg in io.segments.iter() {
-                match self.chunks.get(&(io.stripe, seg.member)) {
-                    Some(chunk) => out.extend_from_slice(
-                        &chunk[seg.offset as usize..(seg.offset + seg.len) as usize],
-                    ),
-                    // Unwritten chunks read as zeros without materializing.
-                    None => out.resize(out.len() + seg.len as usize, 0),
-                }
+        for seg in io.segments.iter() {
+            let win = seg.offset as usize..(seg.offset + seg.len) as usize;
+            if failed.contains(&seg.member) {
+                let at = out.len();
+                out.resize(at + win.len(), 0);
+                self.decode_into(io.stripe, seg.data_index, win, failed, &mut out[at..]);
+            } else {
+                out.extend_from_slice(&self.chunk(io.stripe, seg.member)[win]);
             }
         }
     }
@@ -139,6 +188,10 @@ impl ChunkStore {
     /// parity up to date using the mode's arithmetic path. Chunks on `failed`
     /// members are not stored (the drive is dead) but parity still encodes
     /// their intended contents, so later degraded reads return the new data.
+    ///
+    /// Read-modify-write without failures applies per-segment deltas
+    /// (`P' = P ⊕ D ⊕ D'`, and the `g^i`-scaled Q deltas); everything else
+    /// re-encodes parity over the write's window.
     ///
     /// # Panics
     ///
@@ -152,120 +205,111 @@ impl ChunkStore {
         failed: &BTreeSet<usize>,
     ) {
         assert_eq!(payload.len() as u64, io.bytes(), "payload size mismatch");
-        let stripe = io.stripe;
-        let old_data = self.data_chunks(stripe, failed);
-        let mut new_data = old_data.clone();
-        let mut cursor = 0usize;
-        for seg in io.segments.iter() {
-            let dst =
-                &mut new_data[seg.data_index][seg.offset as usize..(seg.offset + seg.len) as usize];
-            dst.copy_from_slice(&payload[cursor..cursor + seg.len as usize]);
-            cursor += seg.len as usize;
-        }
-
-        let (new_p, new_q) = self.updated_parity(stripe, io, &old_data, &new_data, mode, failed);
-
-        // Each segment owns a distinct data chunk, so the new chunks move
-        // into the store rather than being cloned.
-        for seg in io.segments.iter() {
-            if !failed.contains(&seg.member) {
-                self.put_chunk(
-                    stripe,
-                    seg.member,
-                    std::mem::take(&mut new_data[seg.data_index]),
-                );
-            }
-        }
-        let pm = self.layout.p_member(stripe);
-        if !failed.contains(&pm) {
-            self.put_chunk(stripe, pm, new_p);
-        }
-        if let Some(qm) = self.layout.q_member(stripe) {
-            if !failed.contains(&qm) {
-                self.put_chunk(stripe, qm, new_q.expect("raid6 produces q"));
-            }
+        if mode == WriteMode::ReadModifyWrite && failed.is_empty() {
+            self.apply_delta(io, payload);
+        } else {
+            self.apply_encode(io, payload, failed);
         }
     }
 
-    /// Computes the post-write parity. RMW without failures exercises the
-    /// delta path (`P' = P ⊕ D ⊕ D'`, and the `g^i`-scaled Q deltas);
-    /// everything else re-encodes from the full new stripe.
-    fn updated_parity(
-        &self,
-        stripe: u64,
-        io: &StripeIo,
-        old_data: &[Vec<u8>],
-        new_data: &[Vec<u8>],
-        mode: WriteMode,
-        failed: &BTreeSet<usize>,
-    ) -> (Vec<u8>, Option<Vec<u8>>) {
-        let refs: Vec<&[u8]> = new_data.iter().map(|d| &d[..]).collect();
-        let use_delta = mode == WriteMode::ReadModifyWrite && failed.is_empty();
-        match self.layout.level() {
-            RaidLevel::Raid5 => {
-                if use_delta {
-                    let mut p = self.chunk(stripe, self.layout.p_member(stripe));
-                    for seg in io.segments.iter() {
-                        let k = seg.data_index;
-                        // P' = P ⊕ D ⊕ D': two in-place XORs, no delta buffer.
-                        draid_ec::xor_into(&mut p, &old_data[k]);
-                        draid_ec::xor_into(&mut p, &new_data[k]);
-                    }
-                    (p, None)
-                } else {
-                    (Raid5::encode(&refs), None)
-                }
+    /// The read-modify-write path: each segment XORs `old ⊕ new` into the
+    /// same bytes of P and adds `g^i·(old ⊕ new)` to those of Q.
+    fn apply_delta(&mut self, io: &StripeIo, payload: &[u8]) {
+        let stripe = io.stripe;
+        let pm = self.layout.p_member(stripe);
+        let qm = self.layout.q_member(stripe);
+        let mut p = self.take_chunk(stripe, pm);
+        let mut q = qm.map(|m| self.take_chunk(stripe, m));
+        let mut cursor = 0usize;
+        for seg in io.segments.iter() {
+            let win = seg.offset as usize..(seg.offset + seg.len) as usize;
+            let new = &payload[cursor..cursor + win.len()];
+            cursor += win.len();
+            let old = &self.chunk(stripe, seg.member)[win.clone()];
+            draid_ec::xor_into(&mut p[win.clone()], old);
+            draid_ec::xor_into(&mut p[win.clone()], new);
+            if let Some(q) = &mut q {
+                Raid6::apply_q_delta(&mut q[win.clone()], seg.data_index, old, new);
             }
-            RaidLevel::Raid6 => {
-                if use_delta {
-                    let mut p = self.chunk(stripe, self.layout.p_member(stripe));
-                    let mut q = self.chunk(stripe, self.layout.q_member(stripe).expect("raid6"));
-                    for seg in io.segments.iter() {
-                        let k = seg.data_index;
-                        draid_ec::xor_into(&mut p, &old_data[k]);
-                        draid_ec::xor_into(&mut p, &new_data[k]);
-                        // q ^= g^k·(D ⊕ D') via two cached-table multiply-
-                        // accumulates, skipping the scaled delta allocation.
-                        Raid6::apply_q_delta(&mut q, k, &old_data[k], &new_data[k]);
-                    }
-                    (p, Some(q))
-                } else {
-                    let (p, q) = Raid6::encode(&refs);
-                    (p, Some(q))
+            self.chunk_mut(stripe, seg.member)[win].copy_from_slice(new);
+        }
+        self.chunks.insert((stripe, pm), p);
+        if let (Some(m), Some(q)) = (qm, q) {
+            self.chunks.insert((stripe, m), q);
+        }
+    }
+
+    /// The encode path (reconstruct-write, full-stripe, or any write with a
+    /// failed member): lost members' bytes are decoded over the window
+    /// before anything is overwritten, the new bytes land, and P/Q are
+    /// re-encoded over the window from the new data.
+    fn apply_encode(&mut self, io: &StripeIo, payload: &[u8], failed: &BTreeSet<usize>) {
+        let stripe = io.stripe;
+        let win = match (
+            io.segments.iter().map(|s| s.offset).min(),
+            io.segments.iter().map(|s| s.offset + s.len).max(),
+        ) {
+            (Some(lo), Some(hi)) => lo as usize..hi as usize,
+            _ => 0..self.chunk_len(),
+        };
+        let mut lost = self.decode_lost(stripe, win.clone(), failed);
+        let mut cursor = 0usize;
+        for seg in io.segments.iter() {
+            let range = seg.offset as usize..(seg.offset + seg.len) as usize;
+            let new = &payload[cursor..cursor + range.len()];
+            cursor += range.len();
+            match lost.iter_mut().find(|(k, _)| *k == seg.data_index) {
+                Some((_, buf)) => {
+                    buf[range.start - win.start..range.end - win.start].copy_from_slice(new);
                 }
+                None => self.chunk_mut(stripe, seg.member)[range].copy_from_slice(new),
             }
+        }
+
+        let pm = self.layout.p_member(stripe);
+        let qm = self.layout.q_member(stripe).filter(|m| !failed.contains(m));
+        let mut p = (!failed.contains(&pm)).then(|| self.take_chunk(stripe, pm));
+        let mut q = qm.map(|m| self.take_chunk(stripe, m));
+        let data = self.data_window(stripe, win.clone(), &lost);
+        if let Some(p) = &mut p {
+            Raid5::encode_into(&mut p[win.clone()], &data);
+        }
+        if let Some(q) = &mut q {
+            draid_ec::kernels::raid6_q_into(&mut q[win], &data);
+        }
+        if let Some(p) = p {
+            self.chunks.insert((stripe, pm), p);
+        }
+        if let (Some(m), Some(q)) = (qm, q) {
+            self.chunks.insert((stripe, m), q);
         }
     }
 
     /// Reconstructs the chunk `member` held in `stripe` from the survivors
-    /// and stores it — the data-plane side of a hot-spare rebuild. Parity
-    /// chunks are re-encoded; data chunks are decoded.
+    /// and stores it — the data-plane side of a hot-spare rebuild. A data
+    /// chunk is decoded; a parity chunk is re-encoded from the data.
     ///
     /// # Panics
     ///
     /// Panics if more members than tolerated are in `failed` (excluding
     /// `member` itself, which is the one being restored).
     pub fn rebuild_chunk(&mut self, stripe: u64, member: usize, failed: &BTreeSet<usize>) {
-        let mut effective = failed.clone();
-        effective.insert(member);
-        let data = self.data_chunks(stripe, &effective);
-        let chunk = if let Some(k) = self.layout.data_index_of(stripe, member) {
-            data[k].clone()
+        let mut lost_members = failed.clone();
+        lost_members.insert(member);
+        let whole = 0..self.chunk_len();
+        let mut chunk = vec![0; whole.len()];
+        if let Some(k) = self.layout.data_index_of(stripe, member) {
+            self.decode_into(stripe, k, whole, &lost_members, &mut chunk);
         } else {
-            let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
-            match self.layout.level() {
-                RaidLevel::Raid5 => Raid5::encode(&refs),
-                RaidLevel::Raid6 => {
-                    let (p, q) = Raid6::encode(&refs);
-                    if member == self.layout.p_member(stripe) {
-                        p
-                    } else {
-                        q
-                    }
-                }
+            let lost = self.decode_lost(stripe, whole.clone(), &lost_members);
+            let data = self.data_window(stripe, whole, &lost);
+            if member == self.layout.p_member(stripe) {
+                Raid5::encode_into(&mut chunk, &data);
+            } else {
+                draid_ec::kernels::raid6_q_into(&mut chunk, &data);
             }
-        };
-        self.put_chunk(stripe, member, chunk);
+        }
+        self.chunks.insert((stripe, member), chunk);
     }
 
     /// Fault injection for tests: flips one byte of a stored chunk (e.g. a
@@ -300,18 +344,11 @@ impl ChunkStore {
     /// Verifies that a stripe's stored parity matches its stored data
     /// (healthy members only; returns `true` for never-written stripes).
     pub fn verify_stripe(&self, stripe: u64) -> bool {
-        let d = self.layout.data_chunks();
-        let data: Vec<Vec<u8>> = (0..d)
-            .map(|k| self.chunk(stripe, self.layout.data_member(stripe, k)))
-            .collect();
-        let refs: Vec<&[u8]> = data.iter().map(|c| &c[..]).collect();
+        let data = self.data_window(stripe, 0..self.chunk_len(), &[]);
         let p = self.chunk(stripe, self.layout.p_member(stripe));
-        match self.layout.level() {
-            RaidLevel::Raid5 => Raid5::verify(&refs, &p),
-            RaidLevel::Raid6 => {
-                let q = self.chunk(stripe, self.layout.q_member(stripe).expect("raid6"));
-                Raid6::verify(&refs, &p, &q)
-            }
+        match self.layout.q_member(stripe) {
+            None => Raid5::verify(&data, p),
+            Some(qm) => Raid6::verify(&data, p, self.chunk(stripe, qm)),
         }
     }
 }
@@ -319,7 +356,288 @@ impl ChunkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ArrayConfig, SystemKind};
+    use crate::config::{ArrayConfig, RaidLevel, SystemKind};
+    use crate::layout::Segment;
+    use draid_sim::DetRng;
+
+    /// The whole-chunk data plane the windowed store replaced, kept as the
+    /// differential oracle: every operation clones whole chunks, decodes
+    /// whole stripes and re-encodes whole parity chunks.
+    struct WholeChunkOracle {
+        layout: Layout,
+        codec: ReedSolomon,
+        chunks: BTreeMap<(u64, usize), Vec<u8>>,
+    }
+
+    impl WholeChunkOracle {
+        fn new(layout: Layout) -> Self {
+            WholeChunkOracle {
+                layout,
+                codec: ReedSolomon::new(layout.data_chunks(), layout.level().parity_count()),
+                chunks: BTreeMap::new(),
+            }
+        }
+
+        fn chunk(&self, stripe: u64, member: usize) -> Vec<u8> {
+            self.chunks
+                .get(&(stripe, member))
+                .cloned()
+                .unwrap_or_else(|| vec![0; self.layout.chunk_size() as usize])
+        }
+
+        fn drop_member(&mut self, member: usize) {
+            self.chunks.retain(|&(_, m), _| m != member);
+        }
+
+        fn data_chunks(&self, stripe: u64, failed: &BTreeSet<usize>) -> Vec<Vec<u8>> {
+            let l = &self.layout;
+            let mut shards: Vec<Option<Vec<u8>>> = (0..l.data_chunks())
+                .map(|k| l.data_member(stripe, k))
+                .chain(std::iter::once(l.p_member(stripe)))
+                .chain(l.q_member(stripe))
+                .map(|m| (!failed.contains(&m)).then(|| self.chunk(stripe, m)))
+                .collect();
+            self.codec
+                .reconstruct(&mut shards)
+                .expect("within tolerance");
+            shards
+                .into_iter()
+                .take(l.data_chunks())
+                .map(|s| s.expect("reconstructed"))
+                .collect()
+        }
+
+        fn read(&self, io: &StripeIo, failed: &BTreeSet<usize>) -> Vec<u8> {
+            let data = self.data_chunks(io.stripe, failed);
+            io.segments
+                .iter()
+                .flat_map(|s| {
+                    data[s.data_index][s.offset as usize..(s.offset + s.len) as usize].to_vec()
+                })
+                .collect()
+        }
+
+        fn apply_write(
+            &mut self,
+            io: &StripeIo,
+            payload: &[u8],
+            mode: WriteMode,
+            failed: &BTreeSet<usize>,
+        ) {
+            let stripe = io.stripe;
+            let old = self.data_chunks(stripe, failed);
+            let mut new = old.clone();
+            let mut cursor = 0usize;
+            for seg in io.segments.iter() {
+                new[seg.data_index][seg.offset as usize..(seg.offset + seg.len) as usize]
+                    .copy_from_slice(&payload[cursor..cursor + seg.len as usize]);
+                cursor += seg.len as usize;
+            }
+            let pm = self.layout.p_member(stripe);
+            let qm = self.layout.q_member(stripe);
+            let (p, q) = if mode == WriteMode::ReadModifyWrite && failed.is_empty() {
+                let mut p = self.chunk(stripe, pm);
+                let mut q = qm.map(|m| self.chunk(stripe, m));
+                for seg in io.segments.iter() {
+                    let k = seg.data_index;
+                    draid_ec::xor_into(&mut p, &old[k]);
+                    draid_ec::xor_into(&mut p, &new[k]);
+                    if let Some(q) = &mut q {
+                        Raid6::apply_q_delta(q, k, &old[k], &new[k]);
+                    }
+                }
+                (p, q)
+            } else {
+                let refs: Vec<&[u8]> = new.iter().map(|d| &d[..]).collect();
+                let (p, q) = Raid6::encode(&refs);
+                (p, qm.map(|_| q))
+            };
+            for seg in io.segments.iter() {
+                if !failed.contains(&seg.member) {
+                    self.chunks
+                        .insert((stripe, seg.member), new[seg.data_index].clone());
+                }
+            }
+            if !failed.contains(&pm) {
+                self.chunks.insert((stripe, pm), p);
+            }
+            if let (Some(m), Some(q)) = (qm, q) {
+                if !failed.contains(&m) {
+                    self.chunks.insert((stripe, m), q);
+                }
+            }
+        }
+
+        fn rebuild_chunk(&mut self, stripe: u64, member: usize, failed: &BTreeSet<usize>) {
+            let mut effective = failed.clone();
+            effective.insert(member);
+            let data = self.data_chunks(stripe, &effective);
+            let chunk = match self.layout.data_index_of(stripe, member) {
+                Some(k) => data[k].clone(),
+                None => {
+                    let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
+                    let (p, q) = Raid6::encode(&refs);
+                    if member == self.layout.p_member(stripe) {
+                        p
+                    } else {
+                        q
+                    }
+                }
+            };
+            self.chunks.insert((stripe, member), chunk);
+        }
+    }
+
+    /// Fails with the first chunk and byte where the two stores differ.
+    fn assert_same(store: &ChunkStore, oracle: &WholeChunkOracle, what: &str) {
+        let keys: Vec<_> = store.chunks.keys().collect();
+        let oracle_keys: Vec<_> = oracle.chunks.keys().collect();
+        assert_eq!(keys, oracle_keys, "{what}: materialized chunks differ");
+        for (key, chunk) in &store.chunks {
+            let expected = &oracle.chunks[key];
+            if let Some(i) = (0..chunk.len()).find(|&i| chunk[i] != expected[i]) {
+                panic!("{what}: chunk {key:?} differs at byte {i}");
+            }
+        }
+    }
+
+    /// Segments on a random subset of the data chunks, each at a random
+    /// offset and length (so odd ones too), or on every whole chunk.
+    fn random_io(layout: &Layout, rng: &mut DetRng, stripe: u64, full: bool) -> StripeIo {
+        let chunk = layout.chunk_size();
+        let segments = (0..layout.data_chunks())
+            .filter_map(|k| {
+                let (offset, len) = if full {
+                    (0, chunk)
+                } else if rng.chance(0.5) {
+                    let offset = rng.below(chunk);
+                    (offset, 1 + rng.below(chunk - offset))
+                } else {
+                    return None;
+                };
+                Some(Segment {
+                    data_index: k,
+                    member: layout.data_member(stripe, k),
+                    offset,
+                    len,
+                })
+            })
+            .collect();
+        StripeIo::new(stripe, 0, segments)
+    }
+
+    fn random_bytes(rng: &mut DetRng, len: u64) -> Vec<u8> {
+        let mut data = vec![0; len as usize];
+        rng.fill_bytes(&mut data);
+        data
+    }
+
+    /// Every failed set within the level's tolerance, the empty one first.
+    fn failed_sets(layout: &Layout) -> Vec<BTreeSet<usize>> {
+        let width = layout.width();
+        let mut sets = vec![BTreeSet::new()];
+        for a in 0..width {
+            sets.push([a].into());
+            if layout.level().parity_count() == 2 {
+                sets.extend((a + 1..width).map(|b| [a, b].into()));
+            }
+        }
+        sets
+    }
+
+    #[test]
+    fn windowed_store_matches_whole_chunk_oracle() {
+        const STRIPES: u64 = 3;
+        for level in [RaidLevel::Raid5, RaidLevel::Raid6] {
+            let layout = small_layout(level);
+            for failed in failed_sets(&layout) {
+                let mut rng =
+                    DetRng::new(failed.iter().fold(level as u64, |h, &m| h * 31 + m as u64));
+                let mut store = ChunkStore::new(layout);
+                let mut oracle = WholeChunkOracle::new(layout);
+                // Stripes 0 and 1 start fully written; stripe 2 starts empty.
+                for stripe in 0..STRIPES - 1 {
+                    let io = random_io(&layout, &mut rng, stripe, true);
+                    let data = random_bytes(&mut rng, io.bytes());
+                    store.apply_write(&io, &data, WriteMode::FullStripe, &BTreeSet::new());
+                    oracle.apply_write(&io, &data, WriteMode::FullStripe, &BTreeSet::new());
+                }
+                for &m in &failed {
+                    store.drop_member(m);
+                    oracle.drop_member(m);
+                }
+                let modes = [
+                    WriteMode::ReadModifyWrite,
+                    WriteMode::ReconstructWrite,
+                    WriteMode::FullStripe,
+                ];
+                for step in 0..48 {
+                    let what = format!("{level:?} failed={failed:?} step {step}");
+                    let mode = modes[step % modes.len()];
+                    let stripe = rng.below(STRIPES);
+                    let io = random_io(&layout, &mut rng, stripe, mode == WriteMode::FullStripe);
+                    let data = random_bytes(&mut rng, io.bytes());
+                    store.apply_write(&io, &data, mode, &failed);
+                    oracle.apply_write(&io, &data, mode, &failed);
+                    assert_same(&store, &oracle, &what);
+                    let stripe = rng.below(STRIPES);
+                    let read = random_io(&layout, &mut rng, stripe, false);
+                    assert_eq!(
+                        store.read(&read, &failed),
+                        oracle.read(&read, &failed),
+                        "{what}"
+                    );
+                }
+                for &m in &failed {
+                    for stripe in 0..STRIPES {
+                        store.rebuild_chunk(stripe, m, &failed);
+                        oracle.rebuild_chunk(stripe, m, &failed);
+                    }
+                }
+                assert_same(
+                    &store,
+                    &oracle,
+                    &format!("{level:?} failed={failed:?} rebuilt"),
+                );
+                assert!(store.verify_all().is_empty(), "{level:?} failed={failed:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn resync_heals_parity_outside_every_write_window() {
+        for level in [RaidLevel::Raid5, RaidLevel::Raid6] {
+            let layout = small_layout(level);
+            let mut store = ChunkStore::new(layout);
+            let none = BTreeSet::new();
+            let full = &layout.map(0, layout.stripe_data_bytes())[0];
+            store.apply_write(
+                full,
+                &payload(full.bytes(), 21),
+                WriteMode::FullStripe,
+                &none,
+            );
+            // Tear parity bytes past the end of every later user write.
+            store.corrupt_chunk(0, layout.p_member(0), 4000);
+            if let Some(qm) = layout.q_member(0) {
+                store.corrupt_chunk(0, qm, 3999);
+            }
+            let io = &layout.map(100, 2000)[0];
+            for mode in [WriteMode::ReadModifyWrite, WriteMode::ReconstructWrite] {
+                store.apply_write(io, &payload(io.bytes(), 23), mode, &none);
+                assert!(
+                    !store.verify_stripe(0),
+                    "{level:?} {mode:?} keeps the torn bytes"
+                );
+            }
+            // The parity resync behind `ArraySim::repair_stripe` carries no
+            // segments, so its window is the whole chunk.
+            let resync = StripeIo::new(0, 0, Vec::new());
+            store.apply_write(&resync, &[], WriteMode::ReconstructWrite, &none);
+            assert!(store.verify_stripe(0), "{level:?} resync heals parity");
+            assert_eq!(store.read(io, &none), payload(io.bytes(), 23));
+        }
+    }
 
     fn small_layout(level: RaidLevel) -> Layout {
         let mut cfg = ArrayConfig::paper_default(SystemKind::Draid);

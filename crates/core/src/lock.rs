@@ -164,6 +164,13 @@ mod tests {
     }
 
     #[test]
+    // The check is a `draid_invariant!`: it exists only where
+    // `draid_sim::invariants_enabled()` holds, i.e. under debug assertions
+    // or the `strict-invariants` feature.
+    #[cfg_attr(
+        not(any(debug_assertions, feature = "strict-invariants")),
+        ignore = "invariants are compiled out of this build"
+    )]
     #[should_panic(expected = "acquired stripe 1 twice")]
     fn duplicate_acquire_trips_invariant() {
         let mut t = LockTable::new();

@@ -11,9 +11,13 @@
 //! online during recovery").
 //!
 //! Writes that land on already-rebuilt stripes are stored to the spare
-//! directly; writes ahead of the cursor stay parity-encoded and are picked
-//! up when the cursor reaches them, so the array is consistent at every
-//! instant and fully healthy when the rebuild completes.
+//! directly; writes to stripes not yet rebuilt stay parity-encoded and are
+//! picked up when their stripe is reconstructed, so the array is consistent
+//! at every instant and fully healthy when the rebuild completes. Stripes
+//! finish out of order (several are in flight, and a failed one is retried
+//! after a backoff), so progress is tracked per stripe, not as a watermark.
+
+use std::collections::BTreeSet;
 
 use draid_block::ServerId;
 use draid_sim::{Engine, SimTime, TimerHandle};
@@ -55,7 +59,14 @@ impl RebuildStatus {
 pub(crate) struct RebuildState {
     pub member: usize,
     pub spare: ServerId,
+    /// The first stripe the cursor has not launched yet.
     pub next_stripe: u64,
+    /// Stripes whose op failed, relaunched (lowest first) before the
+    /// cursor moves on.
+    pub retry: BTreeSet<u64>,
+    /// Whether each stripe's chunk is on the spare.
+    pub rebuilt: Vec<bool>,
+    /// Number of `true` entries in `rebuilt`.
     pub completed: u64,
     pub total: u64,
     pub inflight: usize,
@@ -108,6 +119,8 @@ impl ArraySim {
             member,
             spare,
             next_stripe: 0,
+            retry: BTreeSet::new(),
+            rebuilt: vec![false; stripes as usize],
             completed: 0,
             total: stripes,
             inflight: 0,
@@ -138,24 +151,30 @@ impl ArraySim {
     }
 
     /// Whether `stripe`'s copy of the rebuilding member is already on the
-    /// spare (writes behind the cursor go straight to the spare).
+    /// spare (writes to such a stripe go straight to the spare).
     pub(crate) fn stripe_rebuilt(&self, stripe: u64, member: usize) -> bool {
         match &self.rebuild {
-            Some(r) => r.member == member && stripe < r.next_stripe.min(r.completed),
+            Some(r) => {
+                r.member == member && r.rebuilt.get(stripe as usize).copied().unwrap_or(false)
+            }
             None => false,
         }
     }
 
-    /// Launches reconstruction of the next stripe, if any remain.
+    /// Launches reconstruction of the next stripe — a failed one awaiting
+    /// its retry first, else the cursor's — if any remain.
     pub(crate) fn pump_rebuild(&mut self, eng: &mut Engine<ArraySim>) {
         let Some(r) = &mut self.rebuild else {
             return;
         };
-        if r.next_stripe >= r.total {
-            return;
-        }
-        let stripe = r.next_stripe;
-        r.next_stripe += 1;
+        let stripe = match r.retry.pop_first() {
+            Some(s) => s,
+            None if r.next_stripe < r.total => {
+                r.next_stripe += 1;
+                r.next_stripe - 1
+            }
+            None => return,
+        };
         r.inflight += 1;
         let member = r.member;
         let spare = r.spare;
@@ -311,12 +330,12 @@ impl ArraySim {
                     .set_state(member, crate::health::HealthState::Faulty);
                 return;
             }
-            // Put the stripe back and back off before retrying, exactly like
+            // Queue the stripe for a retry and back off first, exactly like
             // a §5.4 foreground retry — re-pumping immediately would grind
             // through the whole failure budget within a short transient
             // (drive errors are instantaneous) and abandon a salvageable
             // rebuild.
-            r.next_stripe = r.next_stripe.min(stripe);
+            r.retry.insert(stripe);
             let attempt = r.failures.min(3) as u32;
             let backoff =
                 crate::exec::retry_backoff(self.cfg.op_deadline, attempt, self.fresh_gen());
@@ -327,8 +346,10 @@ impl ArraySim {
                 r.backoff_timers.push(h);
             }
         } else {
+            debug_assert!(!r.rebuilt[stripe as usize], "stripe {stripe} rebuilt twice");
+            r.rebuilt[stripe as usize] = true;
             r.completed += 1;
-            if r.completed >= r.total {
+            if r.completed == r.total {
                 self.finish_rebuild(eng);
             } else {
                 self.pump_rebuild(eng);

@@ -148,12 +148,7 @@ impl ReedSolomon {
         if missing.is_empty() {
             return Ok(());
         }
-        if missing.len() > self.m {
-            return Err(CodecError::TooManyErasures {
-                missing: missing.len(),
-                tolerance: self.m,
-            });
-        }
+        let (survivors, decode) = self.decoder(|i| shards[i].is_some())?;
         let len = shards
             .iter()
             .flatten()
@@ -164,46 +159,17 @@ impl ReedSolomon {
             assert_eq!(s.len(), len, "chunk length mismatch");
         }
 
-        // Pick k surviving rows of the generator; invert to express data in
-        // terms of the survivors.
-        let survivors: Vec<usize> = (0..shards.len())
-            .filter(|&i| shards[i].is_some())
-            .take(self.k)
+        let borrowed: Vec<Option<&[u8]>> = shards.iter().map(Option::as_deref).collect();
+        let data: Vec<Vec<u8>> = (0..self.k)
+            .map(|i| {
+                let mut buf = vec![0u8; len];
+                Self::decode_with(&survivors, &decode, &borrowed, i, &mut buf);
+                buf
+            })
             .collect();
-        if survivors.len() < self.k {
-            return Err(CodecError::Unrecoverable);
-        }
-        let sub = Matrix::from_rows(
-            &survivors
-                .iter()
-                .map(|&r| self.generator.row(r).to_vec())
-                .collect::<Vec<_>>(),
-        );
-        let decode = sub.inverse().ok_or(CodecError::Unrecoverable)?;
-
-        // data_i = Σ_j decode[i][j] · shard[survivors[j]]
-        let mut data: Vec<Option<Vec<u8>>> = vec![None; self.k];
-        for (i, slot) in data.iter_mut().enumerate() {
-            if i < shards.len() && shards[i].is_some() && survivors.contains(&i) {
-                // Fast path: data shard survived untouched.
-                *slot = shards[i].clone();
-                continue;
-            }
-            let mut buf = vec![0u8; len];
-            for (j, &r) in survivors.iter().enumerate() {
-                let c = decode.get(i, j);
-                if c != 0 {
-                    gf256::mul_acc(&mut buf, shards[r].as_ref().expect("survivor"), c);
-                }
-            }
-            *slot = Some(buf);
-        }
 
         // Fill the erased shards back in (data directly, parity re-encoded).
-        let data_refs: Vec<&[u8]> = data
-            .iter()
-            .map(|d| d.as_deref().expect("all data recovered"))
-            .collect();
+        let data_refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
         let parity = self.encode(&data_refs);
         for idx in missing {
             shards[idx] = Some(if idx < self.k {
@@ -213,6 +179,81 @@ impl ReedSolomon {
             });
         }
         Ok(())
+    }
+
+    /// Decodes data chunk `index` into `out` from borrowed shards (`k + m`
+    /// entries, data then parity; `None` marks an erasure) — the form of
+    /// [`ReedSolomon::reconstruct`] that copies no shard and decodes one
+    /// chunk.
+    ///
+    /// Every shard may be the same byte window of its chunk: each parity row
+    /// is a column-wise sum, so byte `o` of a chunk depends only on byte `o`
+    /// of the others. The decode reads the same survivors as
+    /// [`ReedSolomon::reconstruct`] (the first `k` present, data before
+    /// parity), so the two agree byte for byte even on an inconsistent
+    /// stripe.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReedSolomon::reconstruct`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards.len() != k + m`, `index >= k`, or a survivor's
+    /// length differs from `out.len()`.
+    pub fn decode_data_into(
+        &self,
+        shards: &[Option<&[u8]>],
+        index: usize,
+        out: &mut [u8],
+    ) -> Result<(), CodecError> {
+        assert_eq!(shards.len(), self.k + self.m, "wrong shard count");
+        assert!(index < self.k, "chunk {index} is not a data chunk");
+        let (survivors, decode) = self.decoder(|i| shards[i].is_some())?;
+        Self::decode_with(&survivors, &decode, shards, index, out);
+        Ok(())
+    }
+
+    /// Picks the `k` shards a decode reads (the first `k` present, data
+    /// before parity) and inverts their generator rows, expressing every
+    /// data chunk in terms of them.
+    fn decoder(&self, present: impl Fn(usize) -> bool) -> Result<(Vec<usize>, Matrix), CodecError> {
+        let n = self.k + self.m;
+        let missing = (0..n).filter(|&i| !present(i)).count();
+        if missing > self.m {
+            return Err(CodecError::TooManyErasures {
+                missing,
+                tolerance: self.m,
+            });
+        }
+        let survivors: Vec<usize> = (0..n).filter(|&i| present(i)).take(self.k).collect();
+        let sub = Matrix::from_rows(
+            &survivors
+                .iter()
+                .map(|&r| self.generator.row(r).to_vec())
+                .collect::<Vec<_>>(),
+        );
+        let decode = sub.inverse().ok_or(CodecError::Unrecoverable)?;
+        Ok((survivors, decode))
+    }
+
+    /// Writes data chunk `index` into `out`: a copy of its shard if that
+    /// survived, else `Σ_j decode[index][j] · shard[survivors[j]]`.
+    fn decode_with(
+        survivors: &[usize],
+        decode: &Matrix,
+        shards: &[Option<&[u8]>],
+        index: usize,
+        out: &mut [u8],
+    ) {
+        if let Some(s) = shards[index] {
+            out.copy_from_slice(s);
+            return;
+        }
+        out.fill(0);
+        for (j, &r) in survivors.iter().enumerate() {
+            gf256::mul_acc(out, shards[r].expect("survivor"), decode.get(index, j));
+        }
     }
 }
 
@@ -273,6 +314,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn decode_data_into_matches_reconstruct_on_any_window() {
+        let (k, m) = (4, 2);
+        let rs = ReedSolomon::new(k, m);
+        let data = sample_stripe(k, 40);
+        let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
+        let full: Vec<Vec<u8>> = data.iter().cloned().chain(rs.encode(&refs)).collect();
+        for mask in 1u32..(1 << (k + m)) {
+            if mask.count_ones() as usize > m {
+                continue;
+            }
+            let lost = |i: usize| mask & (1 << i) != 0;
+            // A window that starts and ends off any word boundary.
+            let win = 3..37;
+            let shards: Vec<Option<&[u8]>> = full
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (!lost(i)).then(|| &c[win.clone()]))
+                .collect();
+            for (i, chunk) in data.iter().enumerate() {
+                let mut out = vec![0xAA; win.len()];
+                rs.decode_data_into(&shards, i, &mut out)
+                    .expect("within tolerance");
+                assert_eq!(out, chunk[win.clone()], "i={i} mask={mask:b}");
+            }
+        }
+        let none: Vec<Option<&[u8]>> = vec![None; k + m];
+        assert_eq!(
+            rs.decode_data_into(&none, 0, &mut [0u8; 4]),
+            Err(CodecError::TooManyErasures {
+                missing: k + m,
+                tolerance: m
+            })
+        );
     }
 
     #[test]

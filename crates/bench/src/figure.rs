@@ -152,49 +152,6 @@ impl Figure {
     }
 }
 
-impl Figure {
-    /// Renders a terminal bar chart of the primary metric (one bar per
-    /// series per sweep point, normalized to the figure's maximum).
-    pub fn to_ascii_chart(&self) -> String {
-        const WIDTH: usize = 48;
-        let max = self.series.iter().map(Series::peak).fold(0.0f64, f64::max);
-        if max <= 0.0 || self.series.is_empty() {
-            return String::new();
-        }
-        let label_w = self.series.iter().map(|s| s.label.len()).max().unwrap_or(0);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{} — {} ({}, max {:.0})\n",
-            self.id, self.title, self.y_label, max
-        ));
-        let xs: Vec<f64> = self
-            .series
-            .iter()
-            .flat_map(|s| s.points.iter().map(|p| p.x))
-            .fold(Vec::new(), |mut acc, x| {
-                if !acc.iter().any(|&v: &f64| (v - x).abs() < 1e-9) {
-                    acc.push(x);
-                }
-                acc
-            });
-        for x in xs {
-            out.push_str(&format!("{} {}\n", trim_float(x), self.x_label));
-            for s in &self.series {
-                if let Some(p) = s.at(x) {
-                    let bar = ((p.y / max) * WIDTH as f64).round() as usize;
-                    out.push_str(&format!(
-                        "  {:<label_w$} {:>8.0} |{}\n",
-                        s.label,
-                        p.y,
-                        "#".repeat(bar)
-                    ));
-                }
-            }
-        }
-        out
-    }
-}
-
 fn trim_float(x: f64) -> String {
     if (x - x.round()).abs() < 1e-9 {
         format!("{}", x.round() as i64)
@@ -266,20 +223,6 @@ mod tests {
         assert!(md.contains("5100"));
         assert!(md.contains("lat (us)"));
         assert!(md.contains("paper 1.7x"));
-    }
-
-    #[test]
-    fn ascii_chart_scales_bars() {
-        let fig = sample();
-        let chart = fig.to_ascii_chart();
-        assert!(chart.contains("max 5100"));
-        // The max point gets the widest bar.
-        let widest = chart.lines().map(|l| l.matches('#').count()).max().unwrap();
-        let draid_line = chart
-            .lines()
-            .find(|l| l.contains("dRAID") && l.contains("5100"))
-            .expect("max row present");
-        assert_eq!(draid_line.matches('#').count(), widest);
     }
 
     #[test]

@@ -193,23 +193,6 @@ pub fn by_id(id: &str) -> Option<FigureSpec> {
     all().into_iter().find(|s| s.id == id)
 }
 
-/// Entry point shared by the per-figure binaries: builds and prints one
-/// experiment.
-///
-/// # Panics
-///
-/// Panics if `id` is not registered (a binary/registry mismatch).
-pub fn run_main(id: &str) {
-    let spec = by_id(id).unwrap_or_else(|| panic!("unknown figure id {id}"));
-    eprintln!("running {} — {} ...", spec.id, spec.title);
-    let fig = spec.build();
-    println!("{fig}");
-    let chart = fig.to_ascii_chart();
-    if !chart.is_empty() {
-        println!("```\n{chart}```");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,9 +6,9 @@
 //! the same rows the paper plots, together with the paper's headline claims
 //! for that figure so a run is immediately comparable.
 //!
-//! Binaries in `src/bin/` regenerate individual figures (`fig09` … `fig30`,
-//! `table1`, `ablation`); `all_figures` runs the whole evaluation and emits a
-//! Markdown report. Criterion micro-benchmarks live in `benches/`.
+//! The `all_figures` binary runs the whole evaluation, or the experiments
+//! named by id (`all_figures fig10 table1`), and emits a Markdown report.
+//! Criterion micro-benchmarks live in `benches/`.
 //!
 //! The `report` binary is the observability plane's front end: it runs a
 //! reference scenario and attributes the bottleneck per phase, with JSON,

@@ -9,12 +9,11 @@
 //! `schema/report.schema.json`), or Prometheus exposition text.
 
 use std::cell::RefCell;
-use std::rc::Rc;
 
 use draid_core::{ArraySim, RaidLevel, SystemKind};
 use draid_net::LinkDir;
 use draid_sim::{Engine, HistogramSummary, MetricsRegistry, SimTime, UtilizationTimeline};
-use draid_workload::{FioJob, FioStream};
+use draid_workload::{FioJob, Runner};
 
 use crate::{build_array, Scenario};
 
@@ -182,30 +181,25 @@ impl BottleneckReport {
 pub fn run_report(cfg: &ReportConfig) -> BottleneckReport {
     let mut array = build_array(&cfg.scenario);
     let mut engine: Engine<ArraySim> = Engine::new();
-    let stream = Rc::new(RefCell::new(FioStream::new(cfg.job)));
-    for _ in 0..cfg.job.queue_depth {
-        submit_next(&mut array, &mut engine, &stream);
-    }
+    Runner::start_closed_loop(&mut array, &mut engine, &cfg.job);
 
-    // Warm-up, then reset counters and start a fresh trace for the window.
-    engine.run_until(&mut array, cfg.warmup);
-    array.drain_completions();
-    array.reset_measurement(cfg.warmup);
-    array.enable_tracing(2_000_000);
-
-    let mut timeline = UtilizationTimeline::new(cfg.warmup);
-    array.cluster.sample_busy(&mut timeline, cfg.warmup);
-    let end = cfg.warmup + cfg.measure;
-    for i in 1..=cfg.buckets {
-        let target = if i == cfg.buckets {
-            end
-        } else {
-            cfg.warmup + SimTime::from_nanos(cfg.measure.as_nanos() * i / cfg.buckets)
-        };
-        engine.run_until(&mut array, target);
-        array.drain_completions();
-        array.cluster.sample_busy(&mut timeline, target);
-    }
+    // Discard the warm-up, then start a fresh trace and timeline for the
+    // window and sample every resource at each bucket boundary.
+    let timeline = RefCell::new(UtilizationTimeline::new(cfg.warmup));
+    array.run_window(
+        &mut engine,
+        cfg.warmup,
+        cfg.measure,
+        cfg.buckets,
+        |array| {
+            array.enable_tracing(2_000_000);
+            array
+                .cluster
+                .sample_busy(&mut timeline.borrow_mut(), cfg.warmup);
+        },
+        |array, t| array.cluster.sample_busy(&mut timeline.borrow_mut(), t),
+    );
+    let timeline = timeline.into_inner();
 
     let trace = array.take_trace().expect("tracing enabled above");
     let breakdown = trace
@@ -273,22 +267,6 @@ pub fn run_report(cfg: &ReportConfig) -> BottleneckReport {
         trace_events: trace.events().len() as u64,
         trace_dropped: trace.dropped(),
     }
-}
-
-fn submit_next(
-    array: &mut ArraySim,
-    engine: &mut Engine<ArraySim>,
-    stream: &Rc<RefCell<FioStream>>,
-) {
-    let io = stream.borrow_mut().next_io(array.layout());
-    let stream2 = Rc::clone(stream);
-    array.submit_with_hook(
-        engine,
-        io,
-        Some(Box::new(move |array, engine, _res| {
-            submit_next(array, engine, &stream2);
-        })),
-    );
 }
 
 fn collect_ledgers(array: &ArraySim) -> Vec<LedgerRow> {

@@ -612,6 +612,39 @@ impl ArraySim {
         self.cluster.reset_counters(now);
     }
 
+    /// Runs the measured window every experiment uses, FIO's `ramp_time`
+    /// then `runtime` (§9.1): runs to `warmup`, drains completions, resets
+    /// measurement and calls `on_reset` once; then runs `measure` in
+    /// `slices` equal steps ending at `warmup + measure * i / slices`,
+    /// draining completions and calling `on_slice(array, t)` after each.
+    /// Slicing only bounds completion memory and sets sampling points: the
+    /// slice count never changes a result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slices` is zero.
+    pub fn run_window(
+        &mut self,
+        eng: &mut Engine<ArraySim>,
+        warmup: SimTime,
+        measure: SimTime,
+        slices: u64,
+        on_reset: impl FnOnce(&mut ArraySim),
+        mut on_slice: impl FnMut(&mut ArraySim, SimTime),
+    ) {
+        assert!(slices > 0, "a measured window needs at least one slice");
+        eng.run_until(self, warmup);
+        self.completions.clear();
+        self.reset_measurement(warmup);
+        on_reset(self);
+        for i in 1..=slices {
+            let t = warmup + SimTime::from_nanos(measure.as_nanos() * i / slices);
+            eng.run_until(self, t);
+            self.completions.clear();
+            on_slice(self, t);
+        }
+    }
+
     /// One past the highest user-I/O id issued so far (diagnostics).
     pub fn issued_ios(&self) -> u64 {
         self.next_io - 1
@@ -620,5 +653,104 @@ impl ArraySim {
     /// Number of stripe operations currently in flight.
     pub fn inflight_ops(&self) -> usize {
         self.ops.iter().flatten().count()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use super::*;
+
+    const IO: u64 = 16 * 1024;
+
+    fn array() -> ArraySim {
+        let cfg = ArrayConfig::paper_default(SystemKind::Draid);
+        ArraySim::new(Cluster::homogeneous(cfg.width), cfg).expect("valid")
+    }
+
+    /// A closed loop of mixed 16 KiB reads and partial-stripe writes: each
+    /// completion submits the next I/O, at an offset scrambled from its id.
+    fn closed_loop(array: &mut ArraySim, eng: &mut Engine<ArraySim>) {
+        let n = array.issued_ios();
+        let offset = (n.wrapping_mul(0x9E37_79B9) % 4096) * IO;
+        let io = if n.is_multiple_of(3) {
+            UserIo::read(offset, IO)
+        } else {
+            UserIo::write(offset, IO)
+        };
+        array.submit_with_hook(eng, io, Some(Box::new(|a, e, _| closed_loop(a, e))));
+    }
+
+    /// Everything a report reads after a window, bit for bit.
+    fn fingerprint(array: &ArraySim, end: SimTime) -> String {
+        let cluster = &array.cluster;
+        let host = cluster.host_node();
+        let mut out = format!(
+            "{:?} tx={} rx={} host_cpu={:#x}",
+            array.stats,
+            cluster.fabric().bytes_sent(host),
+            cluster.fabric().bytes_received(host),
+            cluster.cpu(host).utilization(end).to_bits()
+        );
+        for m in 0..array.config().width {
+            let node = cluster.server_node(ServerId(m));
+            out += &format!(
+                " m{m}: cpu={:#x} drive={:#x}",
+                cluster.cpu(node).utilization(end).to_bits(),
+                cluster.drive(ServerId(m)).utilization(end).to_bits()
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn slice_count_never_changes_a_result() {
+        // A window length that neither 8 nor 200 divides evenly.
+        let warmup = SimTime::from_millis(2);
+        let measure = SimTime::from_nanos(10_000_007);
+
+        // The state a plain run to `warmup` reaches, for the reset check.
+        let mut reference = array();
+        let mut eng = Engine::new();
+        for _ in 0..16 {
+            closed_loop(&mut reference, &mut eng);
+        }
+        eng.run_until(&mut reference, warmup);
+        let issued_at_warmup = reference.issued_ios();
+
+        let run = |slices: u64| {
+            let mut array = array();
+            let mut eng = Engine::new();
+            for _ in 0..16 {
+                closed_loop(&mut array, &mut eng);
+            }
+            let resets = Cell::new(0);
+            let mut seen = Vec::new();
+            array.run_window(
+                &mut eng,
+                warmup,
+                measure,
+                slices,
+                |array| {
+                    resets.set(resets.get() + 1);
+                    assert_eq!(array.issued_ios(), issued_at_warmup);
+                    assert_eq!(array.stats.total_ops(), 0);
+                },
+                |_, t| {
+                    assert_eq!(resets.get(), 1, "on_reset runs before every slice");
+                    seen.push(t);
+                },
+            );
+            assert_eq!(resets.get(), 1);
+            assert_eq!(seen.len() as u64, slices);
+            assert!(seen.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(seen.last(), Some(&(warmup + measure)));
+            assert!(array.stats.writes > 100 && array.stats.reads > 50);
+            fingerprint(&array, warmup + measure)
+        };
+        let one = run(1);
+        assert_eq!(one, run(8));
+        assert_eq!(one, run(200));
     }
 }

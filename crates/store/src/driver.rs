@@ -123,22 +123,19 @@ impl AppRunner {
         for _ in 0..self.concurrency {
             start_op(&mut array, &mut engine, &shared);
         }
-        engine.run_until(&mut array, self.warmup);
-        array.drain_completions();
-        array.reset_measurement(self.warmup);
-        {
-            let mut s = shared.borrow_mut();
-            s.latencies.reset();
-            s.ops = 0;
-            s.measuring = true;
-        }
-        let end = self.warmup + self.measure;
-        let slices = 8u64;
-        for i in 1..=slices {
-            let t = self.warmup + SimTime::from_nanos(self.measure.as_nanos() * i / slices);
-            engine.run_until(&mut array, t.min(end));
-            array.drain_completions();
-        }
+        array.run_window(
+            &mut engine,
+            self.warmup,
+            self.measure,
+            8,
+            |_| {
+                let mut s = shared.borrow_mut();
+                s.latencies.reset();
+                s.ops = 0;
+                s.measuring = true;
+            },
+            |_, _| {},
+        );
 
         let host = array.cluster.host_node();
         let host_bytes =

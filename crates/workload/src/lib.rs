@@ -35,10 +35,8 @@
 
 mod fio;
 mod open_loop;
-mod replay;
 mod runner;
 
 pub use fio::{FioJob, FioStream};
 pub use open_loop::{ArrivalPattern, OpenLoopReport, OpenLoopRunner};
-pub use replay::{replay, IoTrace, ParseTraceError, ReplayReport, TraceRecord};
 pub use runner::{RunReport, Runner};

@@ -168,22 +168,20 @@ impl OpenLoopRunner {
         };
         schedule_arrival(&mut engine, &state, &params, SimTime::ZERO);
 
-        engine.run_until(&mut array, self.warmup);
-        array.drain_completions();
-        array.reset_measurement(self.warmup);
-        {
-            let mut s = state.borrow_mut();
-            s.arrivals = 0;
-            s.shed = 0;
-            s.peak_inflight = s.inflight;
-        }
+        array.run_window(
+            &mut engine,
+            self.warmup,
+            self.measure,
+            8,
+            |_| {
+                let mut s = state.borrow_mut();
+                s.arrivals = 0;
+                s.shed = 0;
+                s.peak_inflight = s.inflight;
+            },
+            |_, _| {},
+        );
         let end = self.warmup + self.measure;
-        let slices = 8u64;
-        for i in 1..=slices {
-            let t = self.warmup + SimTime::from_nanos(self.measure.as_nanos() * i / slices);
-            engine.run_until(&mut array, t.min(end));
-            array.drain_completions();
-        }
         let report = crate::runner::report_from(&mut array, end, self.measure);
         let s = state.borrow();
         OpenLoopReport {

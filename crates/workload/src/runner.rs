@@ -82,31 +82,18 @@ impl Runner {
     /// fixed concurrency like FIO's `iodepth`.
     pub fn run(&self, mut array: ArraySim, job: &FioJob) -> RunReport {
         let mut engine: Engine<ArraySim> = Engine::new();
+        Self::start_closed_loop(&mut array, &mut engine, job);
+        array.run_window(&mut engine, self.warmup, self.measure, 8, |_| {}, |_, _| {});
+        report_from(&mut array, self.warmup + self.measure, self.measure)
+    }
+
+    /// Starts `job` as a closed loop: submits `job.queue_depth` I/Os now,
+    /// and every completion hook submits the next one.
+    pub fn start_closed_loop(array: &mut ArraySim, engine: &mut Engine<ArraySim>, job: &FioJob) {
         let stream = Rc::new(RefCell::new(FioStream::new(*job)));
         for _ in 0..job.queue_depth {
-            submit_next(&mut array, &mut engine, &stream);
+            resubmit(array, engine, &stream);
         }
-
-        // Warm-up: run, then discard all counters.
-        engine.run_until(&mut array, self.warmup);
-        array.drain_completions();
-        array.reset_measurement(self.warmup);
-
-        // Measured window, drained in slices to bound completion memory.
-        let end = self.warmup + self.measure;
-        let slices = 8u64;
-        let slice = SimTime::from_nanos(self.measure.as_nanos() / slices);
-        for i in 1..=slices {
-            let target = if i == slices {
-                end
-            } else {
-                self.warmup + SimTime::from_nanos(slice.as_nanos() * i)
-            };
-            engine.run_until(&mut array, target);
-            array.drain_completions();
-        }
-
-        report_from(&mut array, end, self.measure)
     }
 }
 
@@ -182,18 +169,14 @@ impl Default for Runner {
     }
 }
 
-fn submit_next(
-    array: &mut ArraySim,
-    engine: &mut Engine<ArraySim>,
-    stream: &Rc<RefCell<FioStream>>,
-) {
+fn resubmit(array: &mut ArraySim, engine: &mut Engine<ArraySim>, stream: &Rc<RefCell<FioStream>>) {
     let io = stream.borrow_mut().next_io(array.layout());
-    let stream2 = Rc::clone(stream);
+    let stream = Rc::clone(stream);
     array.submit_with_hook(
         engine,
         io,
         Some(Box::new(move |array, engine, _res| {
-            submit_next(array, engine, &stream2);
+            resubmit(array, engine, &stream);
         })),
     );
 }

@@ -345,7 +345,7 @@ fn find_for_in(line: &str) -> Option<usize> {
 // ---------------------------------------------------------------- rule 6
 
 /// Op-path modules where a panic tears down the whole simulated array.
-const OP_PATH_FILES: &[&str] = &["crates/core/src/exec.rs", "crates/core/src/protocol.rs"];
+const OP_PATH_FILES: &[&str] = &["crates/core/src/exec.rs", "crates/core/src/builders.rs"];
 
 /// Bare `.unwrap()` on the op path hides the violated invariant; the
 /// contract is `expect("…invariant…")` (self-documenting) or `?`.
@@ -593,5 +593,14 @@ mod tests {
             "fn f(r: Result<u32, ()>) -> u32 { r.unwrap() }\n",
         );
         assert!(run_rule("no-op-path-unwrap", other).is_empty());
+    }
+
+    #[test]
+    fn every_op_path_file_exists() {
+        // A deleted or renamed file would silently shrink the rule's scope.
+        let root = crate::lint::workspace_root().expect("workspace root");
+        for path in OP_PATH_FILES {
+            assert!(root.join(path).is_file(), "{path} is not in the workspace");
+        }
     }
 }

@@ -1,5 +1,6 @@
-//! Per-system DAG builders: compile one stripe operation into the dependency
-//! graph of resource steps the executor schedules.
+//! DAG builders: compile one stripe operation — a user I/O, a rebuild of
+//! one lost chunk, or a scrub of one stripe — into the dependency graph of
+//! resource steps the executor schedules.
 //!
 //! This is where the paper's Table 1 data-movement asymmetry lives. The same
 //! logical operation (say, a partial-stripe read-modify-write) compiles to
@@ -14,9 +15,12 @@
 //!   old data and old parity in, new data and new parity out ("4x" in
 //!   Table 1) — and parity math runs on the host cores.
 //!
-//! Builders are pure functions of `(BuildCtx, Purpose, StripeIo)`: the
-//! executor and the trace-attribution tooling rebuild identical graphs from
-//! the same inputs (step indices included), which is what lets
+//! Rebuild ([`build_rebuild`]) and scrub ([`build_scrub`]) reconstruct or
+//! verify at a member, peer-to-peer, for every system.
+//!
+//! Builders are pure functions of their inputs: the executor and the
+//! trace-attribution tooling rebuild identical graphs from the same inputs
+//! (step indices included), which is what lets
 //! [`crate::trace::critical_path`] re-associate recorded events with steps.
 
 use std::collections::BTreeSet;
@@ -27,7 +31,7 @@ use draid_sim::SimTime;
 
 use crate::config::{ArrayConfig, SystemKind};
 use crate::dag::{Dag, StepKind};
-use crate::layout::{Layout, StripeIo, WriteMode};
+use crate::layout::{Layout, Segment, StripeIo, WriteMode};
 
 /// Everything a builder needs to know about the array at op-launch time.
 pub struct BuildCtx<'a> {
@@ -43,7 +47,8 @@ pub struct BuildCtx<'a> {
     pub servers: &'a [ServerId],
     /// Members currently marked faulty.
     pub faulty: &'a BTreeSet<usize>,
-    /// Reducer member chosen for degraded reads (§6), if applicable.
+    /// Reducer member chosen for degraded reads and rebuild (§6), if
+    /// applicable.
     pub reducer: Option<usize>,
 }
 
@@ -68,27 +73,114 @@ pub enum Purpose {
 /// Builds the operation DAG for `purpose` over the stripe portion `io`.
 pub fn build(ctx: &BuildCtx, purpose: Purpose, io: &StripeIo) -> Dag {
     let mut b = Builder::new(ctx, purpose, io);
+    let draid = ctx.cfg.system == SystemKind::Draid;
     match purpose {
-        Purpose::Read { degraded: false } => b.normal_read(io),
-        Purpose::Read { degraded: true } => match ctx.cfg.system {
-            SystemKind::Draid => b.draid_degraded_read(io),
-            SystemKind::SpdkRaid | SystemKind::LinuxMd => b.central_degraded_read(io),
-        },
-        Purpose::Write { degraded: true, .. } => match ctx.cfg.system {
-            SystemKind::Draid => b.draid_degraded_write(io),
-            SystemKind::SpdkRaid | SystemKind::LinuxMd => b.central_degraded_write(io),
-        },
+        Purpose::Read { degraded } => b.read(io, degraded),
+        Purpose::Write { degraded: true, .. } if draid => b.draid_degraded_write(io),
+        Purpose::Write { degraded: true, .. } => b.central_degraded_write(io),
         Purpose::Write {
             mode: WriteMode::FullStripe,
             ..
         } => b.full_stripe_write(io),
-        Purpose::Write { mode, .. } => match ctx.cfg.system {
-            SystemKind::Draid => b.draid_partial_write(io, mode),
-            SystemKind::SpdkRaid | SystemKind::LinuxMd => b.central_partial_write(io, mode),
-        },
+        Purpose::Write { mode, .. } => {
+            let rmw = mode == WriteMode::ReadModifyWrite;
+            if draid {
+                b.draid_partial_write(io, rmw)
+            } else {
+                b.central_partial_write(io, rmw)
+            }
+        }
     }
     b.dag
 }
+
+/// The rebuild DAG for `victim`'s chunk of `stripe`: survivors read their
+/// chunks and stream them to `ctx.reducer` (§6 policy), which XORs and
+/// forwards the reconstructed chunk straight to the `spare` on
+/// `spare_node`, which persists it — the data never crosses the host NIC.
+pub(crate) fn build_rebuild(
+    ctx: &BuildCtx,
+    stripe: u64,
+    victim: usize,
+    spare: ServerId,
+    spare_node: NodeId,
+) -> Dag {
+    let mut b = Builder::bare(ctx);
+    let l = ctx.layout;
+    let chunk = l.chunk_size();
+    let reducer = ctx.reducer.expect("rebuild needs a reducer");
+    // Rebuild always reconstructs from data + P, whatever chunk was lost.
+    let mut participants: Vec<usize> = (0..l.data_chunks())
+        .map(|k| l.data_member(stripe, k))
+        .chain(std::iter::once(l.p_member(stripe)))
+        .filter(|&m| m != victim && b.healthy(m))
+        .collect();
+    participants.sort_unstable();
+    let mut reduces = Vec::new();
+    for &m in &participants {
+        let arrival = if m == reducer {
+            b.remote_read(m, chunk)
+        } else {
+            b.read_to(m, chunk, b.node(reducer))
+        };
+        reduces.push(b.math(b.node(reducer), chunk, false, &[arrival]));
+    }
+    let done = b.dag.add(StepKind::Join, &reduces);
+    let to_spare = b.xfer(b.node(reducer), spare_node, chunk, &[done]);
+    // The spare charges no PerIo.
+    let write = b.dag.add(
+        StepKind::DriveWrite {
+            server: spare,
+            bytes: chunk,
+        },
+        &[to_spare],
+    );
+    // Rebuild's callback charges no host PerIo.
+    b.xfer(spare_node, ctx.host, ctx.cfg.callback_bytes, &[write]);
+    b.dag
+}
+
+/// The scrub DAG for one stripe: every healthy member reads its chunk and
+/// streams it to the stripe's P member, which XOR-verifies; only a tiny
+/// verdict message reaches the host.
+pub(crate) fn build_scrub(ctx: &BuildCtx, stripe: u64) -> Dag {
+    let mut b = Builder::bare(ctx);
+    let chunk = ctx.layout.chunk_size();
+    let verifier = ctx.layout.p_member(stripe);
+    let mut checks = Vec::new();
+    for m in (0..ctx.layout.width()).filter(|m| !ctx.faulty.contains(m)) {
+        // Scrub's command charges no member PerIo.
+        let cmd = b.xfer(ctx.host, b.node(m), ctx.cfg.command_bytes, &[b.root]);
+        let read = b.drive_read(m, chunk, cmd);
+        let arrival = if m == verifier {
+            read
+        } else {
+            b.xfer(b.node(m), b.node(verifier), chunk, &[read])
+        };
+        checks.push(b.math(b.node(verifier), chunk, false, &[arrival]));
+    }
+    let done = b.dag.add(StepKind::Join, &checks);
+    // Scrub's verdict charges no host PerIo.
+    b.xfer(b.node(verifier), ctx.host, ctx.cfg.callback_bytes, &[done]);
+    b.dag
+}
+
+/// Byte extent `[lo, hi)` within the chunk covering every touched segment —
+/// the region a parity read-modify-write must cover.
+fn parity_extent(io: &StripeIo) -> u64 {
+    let lo = io.segments.iter().map(|s| s.offset).min().unwrap_or(0);
+    let hi = io
+        .segments
+        .iter()
+        .map(|s| s.offset + s.len)
+        .max()
+        .unwrap_or(0);
+    hi - lo
+}
+
+/// Per-parity-leg contributions: `(contributing member, arrival step)` for
+/// each parity member, in leg order.
+type Legs = Vec<Vec<(usize, usize)>>;
 
 /// Internal builder state: the DAG under construction plus the admission
 /// root every command capsule depends on.
@@ -99,10 +191,17 @@ struct Builder<'a, 'c> {
 }
 
 impl<'a, 'c> Builder<'a, 'c> {
-    fn new(ctx: &'a BuildCtx<'c>, purpose: Purpose, io: &StripeIo) -> Self {
+    /// A DAG whose root is the host's per-I/O software cost alone.
+    fn bare(ctx: &'a BuildCtx<'c>) -> Self {
         let mut dag = Dag::new();
-        // Host software admission cost.
-        let mut root = dag.add(StepKind::PerIo { node: ctx.host }, &[]);
+        let root = dag.add(StepKind::PerIo { node: ctx.host }, &[]);
+        Builder { ctx, dag, root }
+    }
+
+    /// A user-op DAG: the host admission root plus the lock and kernel-path
+    /// costs `purpose` pays on this system.
+    fn new(ctx: &'a BuildCtx<'c>, purpose: Purpose, io: &StripeIo) -> Self {
+        let mut b = Self::bare(ctx);
         let cfg = ctx.cfg;
         // Stripe-lock CPU cost: the centralized systems lock every I/O;
         // dRAID locks writes, and reads only under the lock-free-read
@@ -113,13 +212,7 @@ impl<'a, 'c> Builder<'a, 'c> {
             SystemKind::Draid => !is_read || !cfg.draid.lockfree_read,
         };
         if pays_lock && cfg.lock_overhead > SimTime::ZERO {
-            root = dag.add(
-                StepKind::CoreBusy {
-                    node: ctx.host,
-                    duration: cfg.lock_overhead,
-                },
-                &[root],
-            );
+            b.host_busy(cfg.lock_overhead);
         }
         // Linux MD kernel-path costs: block-stack crossing plus stripe-cache
         // page handling (grows with width; Figs. 12/16). Writes always pass
@@ -127,10 +220,7 @@ impl<'a, 'c> Builder<'a, 'c> {
         // optimal — any degradation routes *every* read through `raid5d` and
         // the page cache (the Fig. 15 collapse).
         if cfg.system == SystemKind::LinuxMd {
-            let pays_pages = match purpose {
-                Purpose::Write { .. } => true,
-                Purpose::Read { .. } => !ctx.faulty.is_empty(),
-            };
+            let pays_pages = !is_read || !ctx.faulty.is_empty();
             let mut busy = cfg.linux.per_io_extra;
             if pays_pages {
                 let pages = io.bytes().div_ceil(4096);
@@ -139,32 +229,30 @@ impl<'a, 'c> Builder<'a, 'c> {
                 busy += SimTime::from_nanos(pages * per_page);
             }
             if busy > SimTime::ZERO {
-                root = dag.add(
-                    StepKind::CoreBusy {
-                        node: ctx.host,
-                        duration: busy,
-                    },
-                    &[root],
-                );
+                b.host_busy(busy);
             }
         }
-        Builder { ctx, dag, root }
+        b
     }
 
     fn node(&self, member: usize) -> NodeId {
         self.ctx.nodes[member]
     }
 
-    fn server(&self, member: usize) -> ServerId {
-        self.ctx.servers[member]
-    }
-
     fn healthy(&self, member: usize) -> bool {
         !self.ctx.faulty.contains(&member)
     }
 
+    /// Chains fixed host busy time onto the admission root.
+    fn host_busy(&mut self, duration: SimTime) {
+        let node = self.ctx.host;
+        self.root = self
+            .dag
+            .add(StepKind::CoreBusy { node, duration }, &[self.root]);
+    }
+
     /// Adds a fabric transfer, degenerating to a free `Join` when source and
-    /// destination share a node (two-tier clusters can colocate servers).
+    /// destination share a node.
     fn xfer(&mut self, from: NodeId, to: NodeId, bytes: u64, deps: &[usize]) -> usize {
         if from == to {
             self.dag.add(StepKind::Join, deps)
@@ -173,60 +261,99 @@ impl<'a, 'c> Builder<'a, 'c> {
         }
     }
 
-    /// Host sends a command capsule (optionally carrying `payload` data
-    /// bytes) to `member`; the member's controller admits it. Returns the
-    /// step every member-side work depends on.
-    fn command(&mut self, member: usize, payload: u64) -> usize {
-        let root = self.root;
-        self.command_after(member, payload, root)
+    /// After `dep`, the host sends a command capsule (carrying `payload`
+    /// data bytes) to `member`, whose controller admits it. Returns the step
+    /// every member-side work depends on.
+    fn command(&mut self, member: usize, payload: u64, dep: usize) -> usize {
+        let bytes = self.ctx.cfg.command_bytes + payload;
+        let cmd = self.xfer(self.ctx.host, self.node(member), bytes, &[dep]);
+        let node = self.node(member);
+        self.dag.add(StepKind::PerIo { node }, &[cmd])
     }
 
-    /// Like [`Builder::command`] but gated on an arbitrary earlier step
-    /// (phase-two dispatches of centralized writes).
-    fn command_after(&mut self, member: usize, payload: u64, dep: usize) -> usize {
-        let cmd = self.xfer(
-            self.ctx.host,
-            self.node(member),
-            self.ctx.cfg.command_bytes + payload,
-            &[dep],
-        );
-        self.dag.add(
-            StepKind::PerIo {
-                node: self.node(member),
-            },
-            &[cmd],
-        )
+    fn drive_read(&mut self, member: usize, bytes: u64, dep: usize) -> usize {
+        let server = self.ctx.servers[member];
+        self.dag.add(StepKind::DriveRead { server, bytes }, &[dep])
+    }
+
+    fn drive_write(&mut self, member: usize, bytes: u64, deps: &[usize]) -> usize {
+        let server = self.ctx.servers[member];
+        self.dag.add(StepKind::DriveWrite { server, bytes }, deps)
+    }
+
+    /// A command from the admission root, then a drive read on `member`.
+    fn remote_read(&mut self, member: usize, bytes: u64) -> usize {
+        let ready = self.command(member, 0, self.root);
+        self.drive_read(member, bytes, ready)
+    }
+
+    /// [`Builder::remote_read`], then the bytes shipped to `node`.
+    fn read_to(&mut self, member: usize, bytes: u64, node: NodeId) -> usize {
+        let read = self.remote_read(member, bytes);
+        self.xfer(self.node(member), node, bytes, &[read])
+    }
+
+    /// Reads `bytes` on `member` to the host. Each returned payload is a
+    /// completion the host stack must process (the per-verb software cost
+    /// dRAID offloads to its controllers).
+    fn pull(&mut self, member: usize, bytes: u64) -> usize {
+        let arrival = self.read_to(member, bytes, self.ctx.host);
+        let node = self.ctx.host;
+        self.dag.add(StepKind::PerIo { node }, &[arrival])
+    }
+
+    /// An XOR pass, or a GF(256) pass when `gf`, over `bytes` on `node`.
+    fn math(&mut self, node: NodeId, bytes: u64, gf: bool, deps: &[usize]) -> usize {
+        let kind = if gf {
+            StepKind::GfMul { node, bytes }
+        } else {
+            StepKind::Xor { node, bytes }
+        };
+        self.dag.add(kind, deps)
     }
 
     /// Completion callback from `member` to the host.
     fn callback(&mut self, member: usize, deps: &[usize]) -> usize {
-        let arrive = self.xfer(
-            self.node(member),
-            self.ctx.host,
-            self.ctx.cfg.callback_bytes,
-            deps,
-        );
+        let bytes = self.ctx.cfg.callback_bytes;
+        let arrive = self.xfer(self.node(member), self.ctx.host, bytes, deps);
         // Completion processing on the host stack: every callback consumes a
         // per-I/O slice of the host core, whichever system sent it.
-        self.dag.add(
-            StepKind::PerIo {
-                node: self.ctx.host,
-            },
-            &[arrive],
-        )
+        let node = self.ctx.host;
+        self.dag.add(StepKind::PerIo { node }, &[arrive])
     }
 
-    /// Byte extent `[lo, hi)` within the chunk covering every touched
-    /// segment — the region a parity read-modify-write must cover.
-    fn parity_extent(&self, io: &StripeIo) -> u64 {
-        let lo = io.segments.iter().map(|s| s.offset).min().unwrap_or(0);
-        let hi = io
-            .segments
-            .iter()
-            .map(|s| s.offset + s.len)
-            .max()
-            .unwrap_or(0);
-        hi - lo
+    /// `member` persists `bytes` after `deps` and acknowledges the host.
+    fn write_and_ack(&mut self, member: usize, bytes: u64, deps: &[usize]) {
+        let write = self.drive_write(member, bytes, deps);
+        self.callback(member, &[write]);
+    }
+
+    /// After `dep`, the host ships `bytes` to `member`, which persists and
+    /// acknowledges.
+    fn push(&mut self, member: usize, bytes: u64, dep: usize) {
+        let ready = self.command(member, bytes, dep);
+        self.write_and_ack(member, bytes, &[ready]);
+    }
+
+    /// The stripe's parity members as `(member, is_q)`, P first; with
+    /// `live_only`, faulty ones are left out.
+    fn parity_legs(&self, stripe: u64, live_only: bool) -> Vec<(usize, bool)> {
+        let l = self.ctx.layout;
+        std::iter::once((l.p_member(stripe), false))
+            .chain(l.q_member(stripe).map(|q| (q, true)))
+            .filter(|&(m, _)| !live_only || self.healthy(m))
+            .collect()
+    }
+
+    /// Data members of `io`'s stripe that no segment touches, in data-index
+    /// order; with `live_only`, faulty ones are left out.
+    fn untouched(&self, io: &StripeIo, live_only: bool) -> Vec<usize> {
+        let l = self.ctx.layout;
+        (0..l.data_chunks())
+            .map(|k| l.data_member(io.stripe, k))
+            .filter(|&m| !io.segments.iter().any(|s| s.member == m))
+            .filter(|&m| !live_only || self.healthy(m))
+            .collect()
     }
 
     /// Healthy members able to reconstruct `victim`'s chunk of `stripe`:
@@ -239,10 +366,7 @@ impl<'a, 'c> Builder<'a, 'c> {
             .filter(|&m| m != victim && self.healthy(m))
             .collect();
         let mut needed = l.data_chunks() - set.len();
-        for pm in [Some(l.p_member(stripe)), l.q_member(stripe)]
-            .into_iter()
-            .flatten()
-        {
+        for (pm, _) in self.parity_legs(stripe, false) {
             if needed == 0 {
                 break;
             }
@@ -259,134 +383,58 @@ impl<'a, 'c> Builder<'a, 'c> {
     // Reads
     // ------------------------------------------------------------------
 
-    /// Normal read, identical shape for every system: command out, drive
-    /// read, data straight back to the host (the data transfer is the
-    /// completion; no separate callback).
-    fn normal_read(&mut self, io: &StripeIo) {
+    /// Reads: each segment that needs no reconstruction is a command, a
+    /// drive read and the data straight back to the host (the data transfer
+    /// is the completion; no separate callback). Under `degraded`, lost
+    /// segments are rebuilt at a reducer (dRAID) or on the host.
+    fn read(&mut self, io: &StripeIo, degraded: bool) {
         for seg in io.segments.iter().copied() {
-            let ready = self.command(seg.member, 0);
-            let read = self.dag.add(
-                StepKind::DriveRead {
-                    server: self.server(seg.member),
-                    bytes: seg.len,
-                },
-                &[ready],
-            );
-            self.xfer(self.node(seg.member), self.ctx.host, seg.len, &[read]);
+            if !degraded || self.healthy(seg.member) {
+                self.read_to(seg.member, seg.len, self.ctx.host);
+                continue;
+            }
+            let set = self.reconstruction_set(io.stripe, seg.member);
+            if self.ctx.cfg.system == SystemKind::Draid {
+                self.draid_reconstruct(io.stripe, seg.len, &set);
+            } else {
+                // Every survivor's extent crosses the host NIC (Table 1
+                // "Nx"); the host reconstructs, charging XOR even when Q is
+                // in the set.
+                let mut arrivals = Vec::new();
+                for &m in &set {
+                    arrivals.push(self.pull(m, seg.len));
+                }
+                let bytes = set.len() as u64 * seg.len;
+                self.math(self.ctx.host, bytes, false, &arrivals);
+            }
         }
     }
 
-    /// dRAID degraded read (§6): healthy segments go straight to the host;
-    /// each lost segment is reconstructed at the reducer, which alone ships
-    /// the rebuilt extent to the host.
-    fn draid_degraded_read(&mut self, io: &StripeIo) {
-        let stripe = io.stripe;
-        for seg in io.segments.iter().copied() {
-            if self.healthy(seg.member) {
-                let ready = self.command(seg.member, 0);
-                let read = self.dag.add(
-                    StepKind::DriveRead {
-                        server: self.server(seg.member),
-                        bytes: seg.len,
-                    },
-                    &[ready],
-                );
-                self.xfer(self.node(seg.member), self.ctx.host, seg.len, &[read]);
-                continue;
-            }
-            let set = self.reconstruction_set(stripe, seg.member);
-            let reducer = self
-                .ctx
-                .reducer
-                .filter(|r| self.healthy(*r))
-                .or_else(|| set.first().copied())
-                .expect("degraded read with no survivors");
-            let q = self.ctx.layout.q_member(stripe);
-            let r_ready = self.command(reducer, 0);
-            let mut reduces = Vec::new();
-            for &m in &set {
-                let arrival = if m == reducer {
-                    self.dag.add(
-                        StepKind::DriveRead {
-                            server: self.server(m),
-                            bytes: seg.len,
-                        },
-                        &[r_ready],
-                    )
-                } else {
-                    let ready = self.command(m, 0);
-                    let read = self.dag.add(
-                        StepKind::DriveRead {
-                            server: self.server(m),
-                            bytes: seg.len,
-                        },
-                        &[ready],
-                    );
-                    self.xfer(self.node(m), self.node(reducer), seg.len, &[read])
-                };
-                // Q-based recovery needs GF(256) math; plain survivors XOR.
-                let kind = if Some(m) == q {
-                    StepKind::GfMul {
-                        node: self.node(reducer),
-                        bytes: seg.len,
-                    }
-                } else {
-                    StepKind::Xor {
-                        node: self.node(reducer),
-                        bytes: seg.len,
-                    }
-                };
-                reduces.push(self.dag.add(kind, &[arrival, r_ready]));
-            }
-            let done = self.dag.add(StepKind::Join, &reduces);
-            self.xfer(self.node(reducer), self.ctx.host, seg.len, &[done]);
+    /// dRAID degraded read of one lost segment (§6): survivors stream their
+    /// extents to the reducer, which alone ships the rebuilt extent to the
+    /// host. Survivors read their reconstruction extent separately from any
+    /// segment of their own.
+    fn draid_reconstruct(&mut self, stripe: u64, len: u64, set: &[usize]) {
+        let reducer = self
+            .ctx
+            .reducer
+            .filter(|r| self.healthy(*r))
+            .or_else(|| set.first().copied())
+            .expect("degraded read with no survivors");
+        let q = self.ctx.layout.q_member(stripe);
+        let r_ready = self.command(reducer, 0, self.root);
+        let mut reduces = Vec::new();
+        for &m in set {
+            let arrival = if m == reducer {
+                self.drive_read(m, len, r_ready)
+            } else {
+                self.read_to(m, len, self.node(reducer))
+            };
+            // Q-based recovery needs GF(256) math; plain survivors XOR.
+            reduces.push(self.math(self.node(reducer), len, Some(m) == q, &[arrival, r_ready]));
         }
-    }
-
-    /// Centralized degraded read: every survivor's extent crosses the host
-    /// NIC (Table 1 "Nx") and the host reconstructs.
-    fn central_degraded_read(&mut self, io: &StripeIo) {
-        let stripe = io.stripe;
-        for seg in io.segments.iter().copied() {
-            if self.healthy(seg.member) {
-                let ready = self.command(seg.member, 0);
-                let read = self.dag.add(
-                    StepKind::DriveRead {
-                        server: self.server(seg.member),
-                        bytes: seg.len,
-                    },
-                    &[ready],
-                );
-                self.xfer(self.node(seg.member), self.ctx.host, seg.len, &[read]);
-                continue;
-            }
-            let set = self.reconstruction_set(stripe, seg.member);
-            let mut arrivals = Vec::new();
-            for &m in &set {
-                let ready = self.command(m, 0);
-                let read = self.dag.add(
-                    StepKind::DriveRead {
-                        server: self.server(m),
-                        bytes: seg.len,
-                    },
-                    &[ready],
-                );
-                let arrival = self.xfer(self.node(m), self.ctx.host, seg.len, &[read]);
-                arrivals.push(self.dag.add(
-                    StepKind::PerIo {
-                        node: self.ctx.host,
-                    },
-                    &[arrival],
-                ));
-            }
-            self.dag.add(
-                StepKind::Xor {
-                    node: self.ctx.host,
-                    bytes: set.len() as u64 * seg.len,
-                },
-                &arrivals,
-            );
-        }
+        let done = self.dag.add(StepKind::Join, &reduces);
+        self.xfer(self.node(reducer), self.ctx.host, len, &[done]);
     }
 
     // ------------------------------------------------------------------
@@ -397,271 +445,43 @@ impl<'a, 'c> Builder<'a, 'c> {
     /// data chunk, computes parity locally, and ships data + parity with no
     /// reads anywhere.
     fn full_stripe_write(&mut self, io: &StripeIo) {
-        let stripe = io.stripe;
-        let l = *self.ctx.layout;
-        let xor = self.dag.add(
-            StepKind::Xor {
-                node: self.ctx.host,
-                bytes: l.stripe_data_bytes(),
-            },
-            &[self.root],
-        );
-        let q_gen = l.q_member(stripe).map(|_| {
-            self.dag.add(
-                StepKind::GfMul {
-                    node: self.ctx.host,
-                    bytes: l.stripe_data_bytes(),
-                },
-                &[self.root],
-            )
-        });
+        let l = self.ctx.layout;
+        let (host, root) = (self.ctx.host, self.root);
+        let xor = self.math(host, l.stripe_data_bytes(), false, &[root]);
+        let legs = self.parity_legs(io.stripe, false);
+        let q_gen = legs
+            .iter()
+            .any(|&(_, gf)| gf)
+            .then(|| self.math(host, l.stripe_data_bytes(), true, &[root]));
         for seg in io.segments.iter().copied() {
-            let ready = self.command(seg.member, seg.len);
-            let write = self.dag.add(
-                StepKind::DriveWrite {
-                    server: self.server(seg.member),
-                    bytes: seg.len,
-                },
-                &[ready],
-            );
-            self.callback(seg.member, &[write]);
+            self.push(seg.member, seg.len, root);
         }
-        let p = l.p_member(stripe);
-        let ready = {
-            let cmd = self.xfer(
-                self.ctx.host,
-                self.node(p),
-                self.ctx.cfg.command_bytes + l.chunk_size(),
-                &[xor],
-            );
-            self.dag.add(StepKind::PerIo { node: self.node(p) }, &[cmd])
-        };
-        let write = self.dag.add(
-            StepKind::DriveWrite {
-                server: self.server(p),
-                bytes: l.chunk_size(),
-            },
-            &[ready],
-        );
-        self.callback(p, &[write]);
-        if let (Some(q), Some(qg)) = (l.q_member(stripe), q_gen) {
-            let cmd = self.xfer(
-                self.ctx.host,
-                self.node(q),
-                self.ctx.cfg.command_bytes + l.chunk_size(),
-                &[qg],
-            );
-            let ready = self.dag.add(StepKind::PerIo { node: self.node(q) }, &[cmd]);
-            let write = self.dag.add(
-                StepKind::DriveWrite {
-                    server: self.server(q),
-                    bytes: l.chunk_size(),
-                },
-                &[ready],
-            );
-            self.callback(q, &[write]);
+        for (pm, gf) in legs {
+            let dep = if gf { q_gen.unwrap_or(xor) } else { xor };
+            self.push(pm, l.chunk_size(), dep);
         }
     }
 
-    /// dRAID partial-stripe write (§5): host ships only new data; partial
-    /// parities flow peer-to-peer to the parity bdev(s).
-    fn draid_partial_write(&mut self, io: &StripeIo, mode: WriteMode) {
-        let stripe = io.stripe;
-        let l = *self.ctx.layout;
-        let opts = self.ctx.cfg.draid;
-        let p = l.p_member(stripe);
-        let q = l.q_member(stripe);
-        let chunk = l.chunk_size();
-        let rmw = mode == WriteMode::ReadModifyWrite;
-        let extent = if rmw { self.parity_extent(io) } else { chunk };
-
-        // Parity-side admission; RMW additionally reads the old parity.
-        let p_ready = self.command(p, 0);
-        let p_read = rmw.then(|| {
-            self.dag.add(
-                StepKind::DriveRead {
-                    server: self.server(p),
-                    bytes: extent,
-                },
-                &[p_ready],
-            )
-        });
-        let q_side = q.map(|qm| {
-            let ready = self.command(qm, 0);
-            let read = rmw.then(|| {
-                self.dag.add(
-                    StepKind::DriveRead {
-                        server: self.server(qm),
-                        bytes: extent,
-                    },
-                    &[ready],
-                )
-            });
-            (qm, ready, read)
-        });
-
-        // Data-side: each touched member fetches its new data, persists it,
-        // and emits a partial-parity contribution; in reconstruct-write mode
-        // the untouched members stream their (old) chunks as contributions.
-        let mut p_fwds = Vec::new();
-        let mut q_fwds = Vec::new();
-        for seg in io.segments.iter().copied() {
-            let m = seg.member;
-            let fetch = self.command(m, seg.len);
-            let contrib_bytes = if rmw { seg.len } else { chunk };
-            let (write, src) = if opts.pipeline {
-                // §5.3: the drive-write and the parity forwarding both hang
-                // off the fetch/read alone — and the data bdev acknowledges
-                // the host as soon as its own write lands.
-                let src = if rmw {
-                    // Old data needed for the delta.
-                    self.dag.add(
-                        StepKind::DriveRead {
-                            server: self.server(m),
-                            bytes: seg.len,
-                        },
-                        &[fetch],
-                    )
-                } else if !seg.covers_chunk(chunk) {
-                    // Reconstruct-write of a partial chunk forwards the full
-                    // new chunk, so the complement is read locally.
-                    self.dag.add(
-                        StepKind::DriveRead {
-                            server: self.server(m),
-                            bytes: chunk - seg.len,
-                        },
-                        &[fetch],
-                    )
-                } else {
-                    fetch
-                };
-                let write = self.dag.add(
-                    StepKind::DriveWrite {
-                        server: self.server(m),
-                        bytes: seg.len,
-                    },
-                    &[src],
-                );
-                self.callback(m, &[write]);
-                (write, src)
-            } else {
-                // Serial NVMe-oF-style chain: fetch -> read -> write ->
-                // forward, no per-bdev callback.
-                let read = if rmw {
-                    self.dag.add(
-                        StepKind::DriveRead {
-                            server: self.server(m),
-                            bytes: seg.len,
-                        },
-                        &[fetch],
-                    )
-                } else if !seg.covers_chunk(chunk) {
-                    self.dag.add(
-                        StepKind::DriveRead {
-                            server: self.server(m),
-                            bytes: chunk - seg.len,
-                        },
-                        &[fetch],
-                    )
-                } else {
-                    fetch
-                };
-                let write = self.dag.add(
-                    StepKind::DriveWrite {
-                        server: self.server(m),
-                        bytes: seg.len,
-                    },
-                    &[read],
-                );
-                (write, write)
-            };
-            let _ = write;
-            let delta = self.dag.add(
-                StepKind::Xor {
-                    node: self.node(m),
-                    bytes: contrib_bytes,
-                },
-                &[src],
-            );
-            p_fwds.push((
-                m,
-                self.forward(m, p, contrib_bytes, delta, opts.peer_to_peer),
-            ));
-            if let Some((qm, _, _)) = q_side {
-                // §5.2: the Q term is scaled by g^i on the data bdev.
-                let scaled = self.dag.add(
-                    StepKind::GfMul {
-                        node: self.node(m),
-                        bytes: contrib_bytes,
-                    },
-                    &[delta],
-                );
-                q_fwds.push((
-                    m,
-                    self.forward(m, qm, contrib_bytes, scaled, opts.peer_to_peer),
-                ));
-            }
-        }
-        if !rmw {
-            // Untouched members contribute their resident chunks.
-            let touched: BTreeSet<usize> = io.segments.iter().map(|s| s.member).collect();
-            for k in 0..l.data_chunks() {
-                let m = l.data_member(stripe, k);
-                if touched.contains(&m) {
-                    continue;
-                }
-                let ready = self.command(m, 0);
-                let read = self.dag.add(
-                    StepKind::DriveRead {
-                        server: self.server(m),
-                        bytes: chunk,
-                    },
-                    &[ready],
-                );
-                p_fwds.push((m, self.forward(m, p, chunk, read, opts.peer_to_peer)));
-                if let Some((qm, _, _)) = q_side {
-                    let scaled = self.dag.add(
-                        StepKind::GfMul {
-                            node: self.node(m),
-                            bytes: chunk,
-                        },
-                        &[read],
-                    );
-                    q_fwds.push((m, self.forward(m, qm, chunk, scaled, opts.peer_to_peer)));
-                }
-            }
-        }
-
-        // Parity-side reduction and persist.
-        let contrib = |rmw_len: u64| if rmw { rmw_len } else { chunk };
-        self.reduce_and_write(
-            io,
-            p,
-            &p_fwds,
-            p_read,
-            if rmw { extent } else { chunk },
-            contrib(extent),
-            false,
-            opts.nonblocking,
-        );
-        if let Some((qm, _, q_read)) = q_side {
-            self.reduce_and_write(
-                io,
-                qm,
-                &q_fwds,
-                q_read,
-                if rmw { extent } else { chunk },
-                contrib(extent),
-                true,
-                opts.nonblocking,
-            );
+    /// Where `seg`'s partial-parity contribution is read from after the
+    /// host's command delivers its new data: RMW reads the old data for the
+    /// delta; a reconstruct-write of a partial chunk forwards the full new
+    /// chunk, so the complement is read locally.
+    fn fetch_source(&mut self, seg: Segment, rmw: bool) -> usize {
+        let chunk = self.ctx.layout.chunk_size();
+        let fetch = self.command(seg.member, seg.len, self.root);
+        if rmw {
+            self.drive_read(seg.member, seg.len, fetch)
+        } else if seg.covers_chunk(chunk) {
+            fetch
+        } else {
+            self.drive_read(seg.member, chunk - seg.len, fetch)
         }
     }
 
     /// Forwards a partial-parity contribution from `from` to parity member
     /// `to`, peer-to-peer or detouring through the host under the ablation.
-    fn forward(&mut self, from: usize, to: usize, bytes: u64, dep: usize, p2p: bool) -> usize {
-        if p2p {
+    fn forward(&mut self, from: usize, to: usize, bytes: u64, dep: usize) -> usize {
+        if self.ctx.cfg.draid.peer_to_peer {
             self.xfer(self.node(from), self.node(to), bytes, &[dep])
         } else {
             let up = self.xfer(self.node(from), self.ctx.host, bytes, &[dep]);
@@ -669,183 +489,93 @@ impl<'a, 'c> Builder<'a, 'c> {
         }
     }
 
-    /// Parity member `pm` reduces arriving contributions and persists the
-    /// result. Non-blocking (§5.2): each reduction depends only on its
-    /// contribution's arrival; blocking ablation: a barrier joins every
-    /// arrival (and the old-parity read) first.
-    #[allow(clippy::too_many_arguments)]
-    fn reduce_and_write(
+    /// Data member `m` forwards its `bytes` contribution `src` to each
+    /// parity leg: P as is, Q scaled by g^i on the data bdev (§5.2).
+    fn fan_out(
         &mut self,
-        io: &StripeIo,
-        pm: usize,
-        fwds: &[(usize, usize)],
-        old_read: Option<usize>,
-        write_bytes: u64,
-        _contrib_bytes: u64,
-        gf: bool,
-        nonblocking: bool,
+        m: usize,
+        bytes: u64,
+        src: usize,
+        legs: &[(usize, bool)],
+        out: &mut Legs,
     ) {
-        let barrier = if nonblocking {
-            None
-        } else {
-            let mut deps: Vec<usize> = fwds.iter().map(|&(_, f)| f).collect();
-            deps.extend(old_read);
-            Some(self.dag.add(StepKind::Join, &deps))
-        };
-        let mut reduces = Vec::new();
-        for &(m, fwd) in fwds {
-            let seg_len = io
-                .segments
-                .iter()
-                .find(|s| s.member == m)
-                .map(|s| s.len)
-                .unwrap_or(write_bytes);
-            let deps = match barrier {
-                Some(b) => vec![b],
-                None => vec![fwd],
-            };
-            let kind = if gf {
-                StepKind::GfMul {
-                    node: self.node(pm),
-                    bytes: seg_len.min(write_bytes).max(1),
-                }
+        for (slot, &(pm, gf)) in legs.iter().enumerate() {
+            let contrib = if gf {
+                self.math(self.node(m), bytes, true, &[src])
             } else {
-                StepKind::Xor {
-                    node: self.node(pm),
-                    bytes: seg_len.min(write_bytes).max(1),
-                }
+                src
             };
-            reduces.push(self.dag.add(kind, &deps));
+            let fwd = self.forward(m, pm, bytes, contrib);
+            out[slot].push((m, fwd));
         }
-        let mut wdeps = reduces;
-        wdeps.extend(old_read);
-        let write = self.dag.add(
-            StepKind::DriveWrite {
-                server: self.server(pm),
-                bytes: write_bytes,
-            },
-            &wdeps,
-        );
-        self.callback(pm, &[write]);
     }
 
-    /// Centralized partial-stripe write: old data/parity (RMW) or untouched
-    /// chunks (reconstruct) are pulled to the host, parity math runs on the
-    /// host cores, and new data + parity are pushed back out — every byte
-    /// crossing the host NIC twice.
-    fn central_partial_write(&mut self, io: &StripeIo, mode: WriteMode) {
-        let stripe = io.stripe;
-        let l = *self.ctx.layout;
-        let p = l.p_member(stripe);
-        let q = l.q_member(stripe);
-        let chunk = l.chunk_size();
-        let rmw = mode == WriteMode::ReadModifyWrite;
-        let extent = if rmw { self.parity_extent(io) } else { chunk };
-        let write_bytes = extent;
+    /// dRAID partial-stripe write (§5): host ships only new data; partial
+    /// parities flow peer-to-peer to the parity bdev(s).
+    fn draid_partial_write(&mut self, io: &StripeIo, rmw: bool) {
+        let chunk = self.ctx.layout.chunk_size();
+        let extent = if rmw { parity_extent(io) } else { chunk };
+        let legs = self.parity_legs(io.stripe, false);
 
-        let mut arrivals = Vec::new();
-        let mut pulled = 0u64;
-        // Each returned payload is a completion the host stack must process
-        // (the per-verb software cost dRAID offloads to its controllers).
-        let pull = |b: &mut Self, pulled: &mut u64, m: usize, bytes: u64| {
-            *pulled += bytes;
-            let ready = b.command(m, 0);
-            let read = b.dag.add(
-                StepKind::DriveRead {
-                    server: b.server(m),
-                    bytes,
-                },
-                &[ready],
-            );
-            let arrival = b.xfer(b.node(m), b.ctx.host, bytes, &[read]);
-            b.dag.add(StepKind::PerIo { node: b.ctx.host }, &[arrival])
-        };
-        if rmw {
-            for seg in io.segments.iter().copied() {
-                arrivals.push(pull(self, &mut pulled, seg.member, seg.len));
-            }
-            arrivals.push(pull(self, &mut pulled, p, extent));
-            if let Some(qm) = q {
-                arrivals.push(pull(self, &mut pulled, qm, extent));
-            }
-        } else {
-            let touched: BTreeSet<usize> = io.segments.iter().map(|s| s.member).collect();
-            for k in 0..l.data_chunks() {
-                let m = l.data_member(stripe, k);
-                if !touched.contains(&m) {
-                    arrivals.push(pull(self, &mut pulled, m, chunk));
-                }
-            }
-            // Partially-covered chunks need their complements too.
-            for seg in io.segments.iter().copied() {
-                if !seg.covers_chunk(chunk) {
-                    arrivals.push(pull(self, &mut pulled, seg.member, chunk - seg.len));
-                }
-            }
+        // Parity-side admission; RMW additionally reads the old parity.
+        let mut old_reads = Vec::new();
+        for &(pm, _) in &legs {
+            let ready = self.command(pm, 0, self.root);
+            old_reads.push(rmw.then(|| self.drive_read(pm, extent, ready)));
         }
-        // The parity pass streams every input operand through the core: the
-        // new data plus everything that was pulled (old data and old parity
-        // for RMW, the chunk complements for reconstruct-write).
-        let xor = self.dag.add(
-            StepKind::Xor {
-                node: self.ctx.host,
-                bytes: io.bytes() + pulled,
-            },
-            &arrivals,
-        );
-        let q_gen = q.map(|_| {
-            self.dag.add(
-                StepKind::GfMul {
-                    node: self.ctx.host,
-                    bytes: io.bytes() + pulled,
-                },
-                &arrivals,
-            )
-        });
 
-        // Phase two: only after every read has landed and parity math is done
-        // may the host dispatch the writes — the old contents feed the delta,
-        // so nothing can be overwritten while phase one is in flight.
+        // Data-side: each touched member fetches its new data, persists it,
+        // and emits a partial-parity contribution; in reconstruct-write mode
+        // the untouched members stream their (old) chunks as contributions.
+        let mut fwds: Legs = vec![Vec::new(); legs.len()];
         for seg in io.segments.iter().copied() {
-            let ready = self.command_after(seg.member, seg.len, xor);
-            let write = self.dag.add(
-                StepKind::DriveWrite {
-                    server: self.server(seg.member),
-                    bytes: seg.len,
-                },
-                &[ready],
-            );
-            self.callback(seg.member, &[write]);
+            let m = seg.member;
+            let mut src = self.fetch_source(seg, rmw);
+            if self.ctx.cfg.draid.pipeline {
+                // §5.3: the drive-write and the parity forwarding both hang
+                // off the fetch/read alone — and the data bdev acknowledges
+                // the host as soon as its own write lands.
+                self.write_and_ack(m, seg.len, &[src]);
+            } else {
+                // Serial NVMe-oF-style chain: fetch -> read -> write ->
+                // forward, no per-bdev callback.
+                src = self.drive_write(m, seg.len, &[src]);
+            }
+            let contrib = if rmw { seg.len } else { chunk };
+            let delta = self.math(self.node(m), contrib, false, &[src]);
+            self.fan_out(m, contrib, delta, &legs, &mut fwds);
         }
-        self.push_parity(p, write_bytes, xor);
-        if let (Some(qm), Some(qg)) = (q, q_gen) {
-            self.push_parity(qm, write_bytes, qg);
+        if !rmw {
+            for m in self.untouched(io, false) {
+                let read = self.remote_read(m, chunk);
+                self.fan_out(m, chunk, read, &legs, &mut fwds);
+            }
         }
-    }
 
-    /// Host ships `bytes` of freshly computed parity to member `pm`, which
-    /// persists and acknowledges.
-    fn push_parity(&mut self, pm: usize, bytes: u64, dep: usize) {
-        let cmd = self.xfer(
-            self.ctx.host,
-            self.node(pm),
-            self.ctx.cfg.command_bytes + bytes,
-            &[dep],
-        );
-        let ready = self.dag.add(
-            StepKind::PerIo {
-                node: self.node(pm),
-            },
-            &[cmd],
-        );
-        let write = self.dag.add(
-            StepKind::DriveWrite {
-                server: self.server(pm),
-                bytes,
-            },
-            &[ready],
-        );
-        self.callback(pm, &[write]);
+        // Parity-side reduction and persist. Non-blocking (§5.2): each
+        // reduction depends only on its contribution's arrival; blocking
+        // ablation: a barrier joins every arrival (and the old-parity read)
+        // first.
+        for (slot, &(pm, gf)) in legs.iter().enumerate() {
+            let old_read = old_reads[slot];
+            let barrier = (!self.ctx.cfg.draid.nonblocking).then(|| {
+                let mut deps: Vec<usize> = fwds[slot].iter().map(|&(_, f)| f).collect();
+                deps.extend(old_read);
+                self.dag.add(StepKind::Join, &deps)
+            });
+            let mut reduces = Vec::new();
+            for &(m, fwd) in &fwds[slot] {
+                let seg_len = io
+                    .segments
+                    .iter()
+                    .find(|s| s.member == m)
+                    .map_or(extent, |s| s.len);
+                let bytes = seg_len.min(extent).max(1);
+                reduces.push(self.math(self.node(pm), bytes, gf, &[barrier.unwrap_or(fwd)]));
+            }
+            reduces.extend(old_read);
+            self.write_and_ack(pm, extent, &reduces);
+        }
     }
 
     /// dRAID degraded write: reconstruction-shaped regardless of the chosen
@@ -855,229 +585,133 @@ impl<'a, 'c> Builder<'a, 'c> {
     /// to the surviving parity member(s), which recompute and persist —
     /// the lost chunk's content stays implied by parity until rebuild.
     fn draid_degraded_write(&mut self, io: &StripeIo) {
-        let stripe = io.stripe;
-        let l = *self.ctx.layout;
-        let opts = self.ctx.cfg.draid;
-        let chunk = l.chunk_size();
-        let p = l.p_member(stripe);
-        let q = l.q_member(stripe);
-        let parities: Vec<(usize, bool)> = std::iter::once((p, false))
-            .chain(q.map(|qm| (qm, true)))
-            .filter(|&(m, _)| self.healthy(m))
-            .collect();
-
-        let mut contributions: Vec<Vec<(usize, usize)>> = vec![Vec::new(); parities.len()];
-        let touched: BTreeSet<usize> = io.segments.iter().map(|s| s.member).collect();
-
-        let mut p_readies = Vec::new();
-        for &(pm, _) in &parities {
-            p_readies.push(self.command(pm, 0));
+        let chunk = self.ctx.layout.chunk_size();
+        let legs = self.parity_legs(io.stripe, true);
+        let mut readies = Vec::new();
+        for &(pm, _) in &legs {
+            readies.push(self.command(pm, 0, self.root));
         }
 
+        let mut fwds: Legs = vec![Vec::new(); legs.len()];
         for seg in io.segments.iter().copied() {
             let m = seg.member;
             if self.healthy(m) {
-                let fetch = self.command(m, seg.len);
-                let src = if seg.covers_chunk(chunk) {
-                    fetch
-                } else {
-                    self.dag.add(
-                        StepKind::DriveRead {
-                            server: self.server(m),
-                            bytes: chunk - seg.len,
-                        },
-                        &[fetch],
-                    )
-                };
-                let write = self.dag.add(
-                    StepKind::DriveWrite {
-                        server: self.server(m),
-                        bytes: seg.len,
-                    },
-                    &[src],
-                );
-                self.callback(m, &[write]);
-                for (slot, &(pm, gf)) in parities.iter().enumerate() {
-                    let contrib = if gf {
-                        self.dag.add(
-                            StepKind::GfMul {
-                                node: self.node(m),
-                                bytes: chunk,
-                            },
-                            &[src],
-                        )
-                    } else {
-                        src
-                    };
-                    let fwd = self.forward(m, pm, chunk, contrib, opts.peer_to_peer);
-                    contributions[slot].push((m, fwd));
-                }
+                let src = self.fetch_source(seg, false);
+                self.write_and_ack(m, seg.len, &[src]);
+                self.fan_out(m, chunk, src, &legs, &mut fwds);
             } else {
                 // The dead member's new data goes straight to each parity.
-                for (slot, &(pm, _)) in parities.iter().enumerate() {
-                    let fwd = self.xfer(
-                        self.ctx.host,
-                        self.node(pm),
-                        self.ctx.cfg.command_bytes + seg.len,
-                        &[self.root],
-                    );
-                    contributions[slot].push((m, fwd));
+                let bytes = self.ctx.cfg.command_bytes + seg.len;
+                for (slot, &(pm, _)) in legs.iter().enumerate() {
+                    let fwd = self.xfer(self.ctx.host, self.node(pm), bytes, &[self.root]);
+                    fwds[slot].push((m, fwd));
                 }
             }
         }
-        for k in 0..l.data_chunks() {
-            let m = l.data_member(stripe, k);
-            if touched.contains(&m) || !self.healthy(m) {
-                continue;
-            }
-            let ready = self.command(m, 0);
-            let read = self.dag.add(
-                StepKind::DriveRead {
-                    server: self.server(m),
-                    bytes: chunk,
-                },
-                &[ready],
-            );
-            for (slot, &(pm, gf)) in parities.iter().enumerate() {
-                let contrib = if gf {
-                    self.dag.add(
-                        StepKind::GfMul {
-                            node: self.node(m),
-                            bytes: chunk,
-                        },
-                        &[read],
-                    )
-                } else {
-                    read
-                };
-                let fwd = self.forward(m, pm, chunk, contrib, opts.peer_to_peer);
-                contributions[slot].push((m, fwd));
-            }
+        for m in self.untouched(io, true) {
+            let read = self.remote_read(m, chunk);
+            self.fan_out(m, chunk, read, &legs, &mut fwds);
         }
 
-        for (slot, &(pm, gf)) in parities.iter().enumerate() {
-            let ready = p_readies[slot];
+        // Every reduction waits on its parity member's command; there is no
+        // blocking-ablation barrier on this path.
+        for (slot, &(pm, gf)) in legs.iter().enumerate() {
             let mut reduces = Vec::new();
-            for &(_, fwd) in &contributions[slot] {
-                let kind = if gf {
-                    StepKind::GfMul {
-                        node: self.node(pm),
-                        bytes: chunk,
-                    }
-                } else {
-                    StepKind::Xor {
-                        node: self.node(pm),
-                        bytes: chunk,
-                    }
-                };
-                reduces.push(self.dag.add(kind, &[fwd, ready]));
+            for &(_, fwd) in &fwds[slot] {
+                reduces.push(self.math(self.node(pm), chunk, gf, &[fwd, readies[slot]]));
             }
-            let write = self.dag.add(
-                StepKind::DriveWrite {
-                    server: self.server(pm),
-                    bytes: chunk,
-                },
-                &reduces,
-            );
-            self.callback(pm, &[write]);
+            self.write_and_ack(pm, chunk, &reduces);
         }
+    }
+
+    /// Centralized partial-stripe write: old data/parity (RMW) or untouched
+    /// chunks (reconstruct) are pulled to the host, parity math runs on the
+    /// host cores, and new data + parity are pushed back out — every byte
+    /// crossing the host NIC twice.
+    fn central_partial_write(&mut self, io: &StripeIo, rmw: bool) {
+        let legs = self.parity_legs(io.stripe, false);
+        let extent = if rmw {
+            parity_extent(io)
+        } else {
+            self.ctx.layout.chunk_size()
+        };
+        let pulls = if rmw {
+            let data = io.segments.iter().map(|s| (s.member, s.len));
+            data.chain(legs.iter().map(|&(pm, _)| (pm, extent)))
+                .collect()
+        } else {
+            self.rcw_reads(io, false)
+        };
+        // The parity pass streams every input operand through the core: the
+        // new data plus everything that was pulled (old data and old parity
+        // for RMW, the chunk complements for reconstruct-write).
+        let pulled: u64 = pulls.iter().map(|&(_, bytes)| bytes).sum();
+        self.central_write(io, &pulls, io.bytes() + pulled, &legs, extent, false);
     }
 
     /// Centralized degraded write: untouched healthy chunks are pulled to
     /// the host, parity is recomputed there, and new data (healthy members
-    /// only) plus parity are pushed out.
+    /// only) plus parity are pushed out. The parity pass is charged at new
+    /// data plus one chunk, whatever was pulled.
     fn central_degraded_write(&mut self, io: &StripeIo) {
-        let stripe = io.stripe;
-        let l = *self.ctx.layout;
-        let chunk = l.chunk_size();
-        let p = l.p_member(stripe);
-        let q = l.q_member(stripe);
-        let touched: BTreeSet<usize> = io.segments.iter().map(|s| s.member).collect();
+        let chunk = self.ctx.layout.chunk_size();
+        let legs = self.parity_legs(io.stripe, true);
+        let pulls = self.rcw_reads(io, true);
+        self.central_write(io, &pulls, io.bytes() + chunk, &legs, chunk, true);
+    }
 
-        let mut arrivals = Vec::new();
-        for k in 0..l.data_chunks() {
-            let m = l.data_member(stripe, k);
-            if touched.contains(&m) || !self.healthy(m) {
-                continue;
-            }
-            let ready = self.command(m, 0);
-            let read = self.dag.add(
-                StepKind::DriveRead {
-                    server: self.server(m),
-                    bytes: chunk,
-                },
-                &[ready],
-            );
-            let arrival = self.xfer(self.node(m), self.ctx.host, chunk, &[read]);
-            arrivals.push(self.dag.add(
-                StepKind::PerIo {
-                    node: self.ctx.host,
-                },
-                &[arrival],
-            ));
-        }
-        for seg in io.segments.iter().copied() {
-            if self.healthy(seg.member) && !seg.covers_chunk(chunk) {
-                let ready = self.command(seg.member, 0);
-                let read = self.dag.add(
-                    StepKind::DriveRead {
-                        server: self.server(seg.member),
-                        bytes: chunk - seg.len,
-                    },
-                    &[ready],
-                );
-                let arrival = self.xfer(
-                    self.node(seg.member),
-                    self.ctx.host,
-                    chunk - seg.len,
-                    &[read],
-                );
-                arrivals.push(self.dag.add(
-                    StepKind::PerIo {
-                        node: self.ctx.host,
-                    },
-                    &[arrival],
-                ));
-            }
-        }
-        let xor = self.dag.add(
-            StepKind::Xor {
-                node: self.ctx.host,
-                bytes: io.bytes() + chunk,
-            },
-            &arrivals,
+    /// What a centralized reconstruct-write reads besides the new data:
+    /// untouched data chunks, then the complements of partially covered
+    /// chunks; with `live_only`, faulty members are skipped.
+    fn rcw_reads(&self, io: &StripeIo, live_only: bool) -> Vec<(usize, u64)> {
+        let chunk = self.ctx.layout.chunk_size();
+        let mut reads: Vec<(usize, u64)> = self
+            .untouched(io, live_only)
+            .into_iter()
+            .map(|m| (m, chunk))
+            .collect();
+        reads.extend(
+            io.segments
+                .iter()
+                .filter(|s| (!live_only || self.healthy(s.member)) && !s.covers_chunk(chunk))
+                .map(|s| (s.member, chunk - s.len)),
         );
-        let q_gen = q.filter(|&qm| self.healthy(qm)).map(|_| {
-            self.dag.add(
-                StepKind::GfMul {
-                    node: self.ctx.host,
-                    bytes: io.bytes() + chunk,
-                },
-                &arrivals,
-            )
-        });
+        reads
+    }
 
-        // Writes are phase two: the survivors' old chunks feed the parity
-        // recompute, so no overwrite may race the pulls.
+    /// The centralized two-phase write: `pulls` cross to the host, the host
+    /// runs the parity pass over `math_bytes` (a GF pass too when Q is a
+    /// leg), and only then pushes the new data (healthy members only under
+    /// `live_only`) and `parity_bytes` to each parity leg — the old contents
+    /// feed the parity, so nothing may be overwritten while phase one is in
+    /// flight.
+    fn central_write(
+        &mut self,
+        io: &StripeIo,
+        pulls: &[(usize, u64)],
+        math_bytes: u64,
+        legs: &[(usize, bool)],
+        parity_bytes: u64,
+        live_only: bool,
+    ) {
+        let mut arrivals = Vec::new();
+        for &(m, bytes) in pulls {
+            arrivals.push(self.pull(m, bytes));
+        }
+        let host = self.ctx.host;
+        let xor = self.math(host, math_bytes, false, &arrivals);
+        let q_gen = legs
+            .iter()
+            .any(|&(_, gf)| gf)
+            .then(|| self.math(host, math_bytes, true, &arrivals));
         for seg in io.segments.iter().copied() {
-            if !self.healthy(seg.member) {
-                continue;
+            if !live_only || self.healthy(seg.member) {
+                self.push(seg.member, seg.len, xor);
             }
-            let ready = self.command_after(seg.member, seg.len, xor);
-            let write = self.dag.add(
-                StepKind::DriveWrite {
-                    server: self.server(seg.member),
-                    bytes: seg.len,
-                },
-                &[ready],
-            );
-            self.callback(seg.member, &[write]);
         }
-        if self.healthy(p) {
-            self.push_parity(p, chunk, xor);
-        }
-        if let (Some(qm), Some(qg)) = (q.filter(|&qm| self.healthy(qm)), q_gen) {
-            self.push_parity(qm, chunk, qg);
+        for &(pm, gf) in legs {
+            let dep = if gf { q_gen.unwrap_or(xor) } else { xor };
+            self.push(pm, parity_bytes, dep);
         }
     }
 }

@@ -192,18 +192,7 @@ impl ArraySim {
             }
             _ => None,
         };
-        let dag = {
-            let ctx = BuildCtx {
-                cfg: &self.cfg,
-                layout: &self.layout,
-                host: self.cluster.host_node(),
-                nodes: &self.member_nodes,
-                servers: &self.member_servers,
-                faulty: &self.faulty,
-                reducer,
-            };
-            builders::build(&ctx, purpose, &io)
-        };
+        let dag = builders::build(&self.build_ctx(reducer), purpose, &io);
         {
             let op = self.ops[idx].as_mut().expect("op vanished");
             op.purpose = Some(purpose);
@@ -211,9 +200,23 @@ impl ArraySim {
         self.launch_prebuilt(eng, idx, dag);
     }
 
+    /// The builders' view of the array as it stands now, with `reducer`
+    /// chosen for a degraded read or a rebuild.
+    pub(crate) fn build_ctx(&self, reducer: Option<usize>) -> BuildCtx<'_> {
+        BuildCtx {
+            cfg: &self.cfg,
+            layout: &self.layout,
+            host: self.cluster.host_node(),
+            nodes: &self.member_nodes,
+            servers: &self.member_servers,
+            faulty: &self.faulty,
+            reducer,
+        }
+    }
+
     /// Installs an already-built DAG on the op, arms the §5.4 deadline, and
-    /// starts its root steps. Shared by the system builders and the rebuild
-    /// path, which constructs its own DAGs.
+    /// starts its root steps. User ops, rebuild stripes and scrub stripes
+    /// all launch here, each with a DAG from [`crate::builders`].
     pub(crate) fn launch_prebuilt(&mut self, eng: &mut Engine<ArraySim>, idx: usize, dag: Dag) {
         let gen = {
             let op = self.ops[idx].as_mut().expect("op vanished");

@@ -20,7 +20,6 @@
 //! * [`ArraySim`] — a virtual RAID block device over a simulated
 //!   [`draid_block::Cluster`]; submit [`UserIo`]s, drive the
 //!   [`draid_sim::Engine`], drain [`IoResult`]s.
-//! * [`protocol`] — the dRAID NVMe-oF command-capsule extension (Fig. 5).
 //! * [`Layout`] — stripe geometry, parity rotation and write-mode selection.
 //! * [`ChunkStore`] — the optional real-bytes data plane (writes store real
 //!   parity; degraded reads reconstruct real data).
@@ -61,12 +60,10 @@ mod health;
 mod io;
 mod layout;
 mod lock;
-pub mod protocol;
 mod rebuild;
 pub mod reducer;
 mod scrub;
 mod stats;
-pub mod target;
 pub mod trace;
 mod volume;
 

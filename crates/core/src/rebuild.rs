@@ -23,7 +23,7 @@ use draid_block::ServerId;
 use draid_sim::{Engine, SimTime, TimerHandle};
 
 use crate::array::ArraySim;
-use crate::dag::{Dag, StepKind};
+use crate::builders;
 use crate::exec::OpState;
 use crate::io::IoKind;
 use crate::layout::{Segment, StripeIo};
@@ -179,7 +179,16 @@ impl ArraySim {
         let member = r.member;
         let spare = r.spare;
 
-        let dag = self.build_rebuild_dag(eng.now(), stripe, member, spare);
+        let reducer = self.choose_reducer(eng.now(), stripe);
+        self.selector.record_load(self.layout.chunk_size());
+        let spare_node = self.cluster.server_node(spare);
+        let dag = builders::build_rebuild(
+            &self.build_ctx(Some(reducer)),
+            stripe,
+            member,
+            spare,
+            spare_node,
+        );
         let io = StripeIo::new(
             stripe,
             0,
@@ -195,106 +204,6 @@ impl ArraySim {
         op.rebuild_of = Some(member);
         let idx = self.alloc_op(op);
         self.launch_prebuilt(eng, idx, dag);
-    }
-
-    /// The rebuild DAG for one stripe: survivors read their chunks, stream
-    /// partials to a reducer (§6 policy), the reducer XORs and forwards the
-    /// reconstructed chunk straight to the spare, which persists it. For a
-    /// parity chunk of the rebuilding member, survivors are the data members
-    /// and the result is the recomputed parity.
-    fn build_rebuild_dag(
-        &mut self,
-        now: SimTime,
-        stripe: u64,
-        member: usize,
-        spare: ServerId,
-    ) -> Dag {
-        let chunk = self.layout.chunk_size();
-        let host = self.cluster.host_node();
-        let spare_node = self.cluster.server_node(spare);
-        let mut dag = Dag::new();
-        let root = dag.add(StepKind::PerIo { node: host }, &[]);
-
-        // Participants: every healthy member that contributes to this
-        // chunk's reconstruction (all data members + P, minus the victim).
-        let mut participants: Vec<usize> = (0..self.layout.data_chunks())
-            .map(|k| self.layout.data_member(stripe, k))
-            .chain(std::iter::once(self.layout.p_member(stripe)))
-            .filter(|&m| m != member && !self.faulty.contains(&m))
-            .collect();
-        participants.sort_unstable();
-        let reducer = self.choose_reducer(now, stripe);
-        self.selector.record_load(chunk);
-
-        let mut reduce_deps = Vec::new();
-        for &m in &participants {
-            let cmd = dag.add(
-                StepKind::Transfer {
-                    from: host,
-                    to: self.member_nodes[m],
-                    bytes: self.cfg.command_bytes,
-                },
-                &[root],
-            );
-            let tgt_io = dag.add(
-                StepKind::PerIo {
-                    node: self.member_nodes[m],
-                },
-                &[cmd],
-            );
-            let read = dag.add(
-                StepKind::DriveRead {
-                    server: self.member_servers[m],
-                    bytes: chunk,
-                },
-                &[tgt_io],
-            );
-            let arrival = if m == reducer {
-                read
-            } else {
-                dag.add(
-                    StepKind::Transfer {
-                        from: self.member_nodes[m],
-                        to: self.member_nodes[reducer],
-                        bytes: chunk,
-                    },
-                    &[read],
-                )
-            };
-            reduce_deps.push(dag.add(
-                StepKind::Xor {
-                    node: self.member_nodes[reducer],
-                    bytes: chunk,
-                },
-                &[arrival],
-            ));
-        }
-        // Reconstructed chunk goes peer-to-peer to the spare and is written.
-        let done = dag.add(StepKind::Join, &reduce_deps);
-        let to_spare = dag.add(
-            StepKind::Transfer {
-                from: self.member_nodes[reducer],
-                to: spare_node,
-                bytes: chunk,
-            },
-            &[done],
-        );
-        let write = dag.add(
-            StepKind::DriveWrite {
-                server: spare,
-                bytes: chunk,
-            },
-            &[to_spare],
-        );
-        dag.add(
-            StepKind::Transfer {
-                from: spare_node,
-                to: host,
-                bytes: self.cfg.callback_bytes,
-            },
-            &[write],
-        );
-        dag
     }
 
     /// Called by the executor when a rebuild stripe op finishes.

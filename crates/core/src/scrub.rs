@@ -8,7 +8,7 @@
 use draid_sim::Engine;
 
 use crate::array::ArraySim;
-use crate::dag::{Dag, StepKind};
+use crate::builders;
 use crate::exec::OpState;
 use crate::io::IoKind;
 use crate::layout::StripeIo;
@@ -102,73 +102,12 @@ impl ArraySim {
         s.next_stripe += 1;
         s.inflight += 1;
 
-        let dag = self.build_scrub_dag(stripe);
+        let dag = builders::build_scrub(&self.build_ctx(None), stripe);
         let gen = self.fresh_gen();
         let mut op = OpState::new(gen, 0, StripeIo::new(stripe, 0, Vec::new()), IoKind::Read);
         op.scrub = true;
         let idx = self.alloc_op(op);
         self.launch_prebuilt(eng, idx, dag);
-    }
-
-    /// Scrub DAG for one stripe: every healthy member reads its chunk and
-    /// streams it to the stripe's parity member, which XOR-verifies; only a
-    /// tiny verdict message reaches the host.
-    fn build_scrub_dag(&mut self, stripe: u64) -> Dag {
-        let chunk = self.layout.chunk_size();
-        let host = self.cluster.host_node();
-        let verifier = self.layout.p_member(stripe);
-        let mut dag = Dag::new();
-        let root = dag.add(StepKind::PerIo { node: host }, &[]);
-        let mut checks = Vec::new();
-        let members: Vec<usize> = (0..self.layout.width())
-            .filter(|m| !self.faulty.contains(m))
-            .collect();
-        for &m in &members {
-            let cmd = dag.add(
-                StepKind::Transfer {
-                    from: host,
-                    to: self.member_nodes[m],
-                    bytes: self.cfg.command_bytes,
-                },
-                &[root],
-            );
-            let read = dag.add(
-                StepKind::DriveRead {
-                    server: self.member_servers[m],
-                    bytes: chunk,
-                },
-                &[cmd],
-            );
-            let arrival = if m == verifier {
-                read
-            } else {
-                dag.add(
-                    StepKind::Transfer {
-                        from: self.member_nodes[m],
-                        to: self.member_nodes[verifier],
-                        bytes: chunk,
-                    },
-                    &[read],
-                )
-            };
-            checks.push(dag.add(
-                StepKind::Xor {
-                    node: self.member_nodes[verifier],
-                    bytes: chunk,
-                },
-                &[arrival],
-            ));
-        }
-        let done = dag.add(StepKind::Join, &checks);
-        dag.add(
-            StepKind::Transfer {
-                from: self.member_nodes[verifier],
-                to: host,
-                bytes: self.cfg.callback_bytes,
-            },
-            &[done],
-        );
-        dag
     }
 
     /// Called by the executor when a scrub stripe op finishes.

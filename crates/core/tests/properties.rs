@@ -1,10 +1,9 @@
 //! Randomized property tests of the core's pure logic: stripe geometry,
-//! write-mode selection, protocol encoding, and the reducer optimizer.
+//! write-mode selection and the reducer optimizer.
 //! Driven by the simulator's seeded [`DetRng`] (the environment has no
 //! crates.io access, so these are plain loops rather than `proptest`
 //! strategies — same invariants, reproducible cases).
 
-use draid_core::protocol::{Command, Dest, Opcode, Subtype};
 use draid_core::reducer::water_fill;
 use draid_core::{ArrayConfig, Layout, RaidLevel, SystemKind, WriteMode};
 use draid_sim::DetRng;
@@ -105,52 +104,6 @@ fn write_mode_minimizes_remote_reads() {
                 WriteMode::ReconstructWrite => assert!(rcw_reads <= rmw_reads),
             }
         }
-    }
-}
-
-#[test]
-fn protocol_roundtrip() {
-    let mut rng = DetRng::new(0xC0DE4);
-    for _ in 0..500 {
-        let opcode = [
-            Opcode::Read,
-            Opcode::Write,
-            Opcode::PartialWrite,
-            Opcode::Parity,
-            Opcode::Reconstruction,
-            Opcode::Peer,
-        ][rng.below(6) as usize];
-        let subtype = [
-            None,
-            Some(Subtype::Rmw),
-            Some(Subtype::RwWrite),
-            Some(Subtype::RwRead),
-            Some(Subtype::AlsoRead),
-            Some(Subtype::NoRead),
-        ][rng.below(6) as usize];
-        let dest = rng.chance(0.5).then(|| rng.below(u32::MAX as u64) as u32);
-        let dest2 = rng.chance(0.5).then(|| rng.below(64) as u32);
-        let cmd = Command {
-            id: rng.next_u64(),
-            opcode,
-            nsid: rng.next_u64() as u32,
-            subtype,
-            offset: rng.next_u64(),
-            length: rng.next_u64(),
-            fwd_offset: rng.next_u64(),
-            fwd_length: rng.next_u64(),
-            next_dest: dest.map(|member| Dest { member }),
-            wait_num: rng.next_u64() as u32,
-            next_dest2: dest2.map(|member| Dest { member }),
-            data_idx: if dest2.is_some() {
-                rng.next_u64() as u32
-            } else {
-                0
-            },
-        };
-        let encoded = cmd.encode();
-        assert_eq!(encoded.len() as u64, cmd.wire_size());
-        assert_eq!(Command::decode(&encoded).expect("roundtrip"), cmd);
     }
 }
 

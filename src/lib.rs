@@ -8,7 +8,7 @@
 //!
 //! The paper's testbed (19 CloudLab servers, ConnectX-5 RDMA NICs,
 //! enterprise NVMe SSDs, SPDK) is replaced by a deterministic discrete-event
-//! simulation; the RAID logic — protocol, parity math, write modes,
+//! simulation; the RAID logic — data paths, parity math, write modes,
 //! reducer selection, failure handling — is implemented for real and carries
 //! real bytes when asked to. See `DESIGN.md` for the substitution map and
 //! `EXPERIMENTS.md` for paper-vs-measured results.

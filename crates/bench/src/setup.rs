@@ -20,8 +20,6 @@ pub struct Scenario {
     pub failed: usize,
     /// dRAID option overrides.
     pub draid: DraidOptions,
-    /// Seed for the array RNG.
-    pub seed: u64,
 }
 
 impl Scenario {
@@ -34,7 +32,6 @@ impl Scenario {
             chunk_kib: 512,
             failed: 0,
             draid: DraidOptions::default(),
-            seed: 0xD5A1D,
         }
     }
 
@@ -74,7 +71,6 @@ impl Scenario {
         cfg.width = self.width;
         cfg.chunk_size = self.chunk_kib * 1024;
         cfg.draid = self.draid;
-        cfg.seed = self.seed;
         cfg
     }
 }

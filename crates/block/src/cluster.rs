@@ -144,15 +144,14 @@ impl Cluster {
     ///
     /// Panics if `width < 2`.
     pub fn homogeneous(width: usize) -> Cluster {
-        Self::homogeneous_with(width, DriveSpec::default(), CpuSpec::default())
-    }
-
-    /// Like [`Cluster::homogeneous`] with explicit drive/CPU profiles.
-    pub fn homogeneous_with(width: usize, drive: DriveSpec, cpu: CpuSpec) -> Cluster {
         let mut b = ClusterBuilder::new();
-        b.host(vec![NicSpec::cx5_100g()], cpu);
+        b.host(vec![NicSpec::cx5_100g()], CpuSpec::default());
         for _ in 0..width {
-            b.server(vec![NicSpec::cx5_100g()], drive, cpu);
+            b.server(
+                vec![NicSpec::cx5_100g()],
+                DriveSpec::default(),
+                CpuSpec::default(),
+            );
         }
         b.build()
     }

@@ -28,16 +28,6 @@ impl CpuSpec {
             per_io: SimTime::from_micros(3),
         }
     }
-
-    /// A kernel-path core (Linux MD): same arithmetic, but each I/O crosses
-    /// the kernel block stack, so the fixed per-I/O cost is much higher.
-    pub fn kernel_core() -> Self {
-        CpuSpec {
-            xor_rate: ByteRate::from_mb_per_sec(18_000.0),
-            gf_rate: ByteRate::from_mb_per_sec(9_000.0),
-            per_io: SimTime::from_micros(8),
-        }
-    }
 }
 
 impl Default for CpuSpec {
@@ -129,11 +119,6 @@ mod tests {
         assert_eq!(g.end, SimTime::from_millis(1500), "queued behind xor");
         let p = cpu.per_io(SimTime::ZERO);
         assert_eq!(p.end, SimTime::from_nanos(1_500_005_000));
-    }
-
-    #[test]
-    fn kernel_core_costs_more_per_io() {
-        assert!(CpuSpec::kernel_core().per_io > CpuSpec::spdk_core().per_io);
     }
 
     #[test]

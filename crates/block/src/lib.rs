@@ -36,9 +36,7 @@
 mod cluster;
 mod cpu;
 mod drive;
-mod qos;
 
 pub use cluster::{Cluster, ClusterBuilder, ServerId};
 pub use cpu::{Cpu, CpuSpec};
 pub use drive::{Drive, DriveError, DriveSpec, DriveState};
-pub use qos::TokenBucket;

@@ -83,9 +83,6 @@ pub struct ArraySim {
     pub(crate) scrub: Option<crate::scrub::ScrubState>,
     pub(crate) tracer: Option<crate::trace::Tracer>,
     pub(crate) bitmap: crate::bitmap::WriteIntentBitmap,
-    pub(crate) volumes: crate::volume::VolumeTable,
-    pub(crate) volume_cursor: u64,
-    pub(crate) user_volumes: HashMap<u64, crate::volume::VolumeId>,
     pub(crate) fault_mgr: Option<crate::fault::FaultManagerState>,
     /// Recycled scratch buffers for the op data plane (see
     /// [`crate::exec::BufPool`]).
@@ -136,10 +133,7 @@ impl ArraySim {
             member_nodes,
             member_servers,
             faulty: BTreeSet::new(),
-            health: HealthMonitor::new(
-                cfg.width,
-                HealthConfig::for_deadline(cfg.op_deadline, cfg.fault_threshold),
-            ),
+            health: HealthMonitor::new(cfg.width, HealthConfig::for_deadline(cfg.op_deadline)),
             locks: LockTable::new(),
             ops: Vec::new(),
             free_ops: Vec::new(),
@@ -157,9 +151,6 @@ impl ArraySim {
             scrub: None,
             tracer: None,
             bitmap: crate::bitmap::WriteIntentBitmap::new(),
-            volumes: crate::volume::VolumeTable::new(),
-            volume_cursor: 0,
-            user_volumes: HashMap::new(),
             fault_mgr: None,
             buf_pool: crate::exec::BufPool::new(),
             ops_since_audit: 0,
@@ -235,46 +226,8 @@ impl ArraySim {
         io: UserIo,
         hook: Option<CompletionHook>,
     ) -> IoId {
-        let id = self.reserve_io_id();
-        self.submit_reserved_inner(eng, id, io, hook);
-        IoId(id)
-    }
-
-    /// Pre-allocates a user-I/O id (volume admission shaping submits later
-    /// under the id it already returned to the caller).
-    pub(crate) fn reserve_io_id(&mut self) -> u64 {
         let id = self.next_io;
         self.next_io += 1;
-        id
-    }
-
-    /// Submits under a previously reserved id (the delayed leg of a
-    /// volume-shaped admission).
-    pub(crate) fn submit_reserved(
-        &mut self,
-        eng: &mut Engine<ArraySim>,
-        id: u64,
-        io: UserIo,
-        volume: Option<crate::volume::VolumeId>,
-        requested_at: SimTime,
-    ) {
-        if let Some(v) = volume {
-            self.tag_volume(id, v);
-        }
-        self.submit_reserved_inner(eng, id, io, None);
-        // The tenant asked earlier; admission shaping is part of its latency.
-        if let Some(user) = self.users.get_mut(&id) {
-            user.submitted = requested_at;
-        }
-    }
-
-    fn submit_reserved_inner(
-        &mut self,
-        eng: &mut Engine<ArraySim>,
-        id: u64,
-        io: UserIo,
-        hook: Option<CompletionHook>,
-    ) {
         assert!(io.len > 0, "zero-length I/O");
         if let Some(data) = &io.data {
             assert_eq!(data.len() as u64, io.len, "payload length mismatch");
@@ -296,7 +249,7 @@ impl ArraySim {
             eng.schedule_in(SimTime::ZERO, move |w: &mut ArraySim, eng| {
                 w.complete_user(eng, id);
             });
-            return;
+            return IoId(id);
         }
 
         let stripe_ios = self.layout.map(io.offset, io.len);
@@ -332,6 +285,7 @@ impl ArraySim {
                 self.launch_op(eng, idx);
             }
         }
+        IoId(id)
     }
 
     /// Whether this configuration serializes reads through stripe locks.
@@ -480,9 +434,7 @@ impl ArraySim {
         debug_assert_eq!(user.pending, 0);
         let now = eng.now();
         let latency = now.saturating_sub(user.submitted);
-        let ok = user.error.is_none();
-        self.account_volume(id, user.io.kind, user.io.len, latency, ok);
-        if ok {
+        if user.error.is_none() {
             match user.io.kind {
                 IoKind::Read => {
                     self.stats.reads += 1;

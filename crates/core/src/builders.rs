@@ -33,9 +33,27 @@ use crate::config::{ArrayConfig, SystemKind};
 use crate::dag::{Dag, StepKind};
 use crate::layout::{Layout, Segment, StripeIo, WriteMode};
 
+/// Wire size of a command capsule, payload excluded. Fig. 5's capsule is
+/// 64 B (80 B with RAID-6's extra command data); the model charges 128 B.
+pub const COMMAND_BYTES: u64 = 128;
+/// Wire size of a completion callback.
+pub const CALLBACK_BYTES: u64 = 64;
+/// Host-core cost of acquiring and releasing a stripe lock, paid by every
+/// locked I/O (the small-I/O read gap of Fig. 9 that dRAID's lock-free read
+/// avoids).
+const LOCK_OVERHEAD: SimTime = SimTime::from_nanos(1200);
+/// Linux MD's extra per-I/O cost of crossing the kernel block stack, on top
+/// of the host core's base per-I/O cost.
+const LINUX_PER_IO_EXTRA: SimTime = SimTime::from_micros(5);
+/// Linux MD's stripe-cache handling cost per 4 KiB page, plus a per-member
+/// increment: wider stripes mean more bookkeeping per stripe head, which
+/// bends Linux's curves down as width grows (Figs. 12 and 16).
+const LINUX_PAGE_COST: SimTime = SimTime::from_nanos(1500);
+const LINUX_PAGE_COST_PER_WIDTH: SimTime = SimTime::from_nanos(160);
+
 /// Everything a builder needs to know about the array at op-launch time.
 pub struct BuildCtx<'a> {
-    /// Array configuration (system kind, ablation toggles, wire sizes).
+    /// Array configuration (system kind, ablation toggles).
     pub cfg: &'a ArrayConfig,
     /// Stripe geometry.
     pub layout: &'a Layout,
@@ -136,7 +154,7 @@ pub(crate) fn build_rebuild(
         &[to_spare],
     );
     // Rebuild's callback charges no host PerIo.
-    b.xfer(spare_node, ctx.host, ctx.cfg.callback_bytes, &[write]);
+    b.xfer(spare_node, ctx.host, CALLBACK_BYTES, &[write]);
     b.dag
 }
 
@@ -150,7 +168,7 @@ pub(crate) fn build_scrub(ctx: &BuildCtx, stripe: u64) -> Dag {
     let mut checks = Vec::new();
     for m in (0..ctx.layout.width()).filter(|m| !ctx.faulty.contains(m)) {
         // Scrub's command charges no member PerIo.
-        let cmd = b.xfer(ctx.host, b.node(m), ctx.cfg.command_bytes, &[b.root]);
+        let cmd = b.xfer(ctx.host, b.node(m), COMMAND_BYTES, &[b.root]);
         let read = b.drive_read(m, chunk, cmd);
         let arrival = if m == verifier {
             read
@@ -161,7 +179,7 @@ pub(crate) fn build_scrub(ctx: &BuildCtx, stripe: u64) -> Dag {
     }
     let done = b.dag.add(StepKind::Join, &checks);
     // Scrub's verdict charges no host PerIo.
-    b.xfer(b.node(verifier), ctx.host, ctx.cfg.callback_bytes, &[done]);
+    b.xfer(b.node(verifier), ctx.host, CALLBACK_BYTES, &[done]);
     b.dag
 }
 
@@ -211,8 +229,8 @@ impl<'a, 'c> Builder<'a, 'c> {
             SystemKind::SpdkRaid | SystemKind::LinuxMd => true,
             SystemKind::Draid => !is_read || !cfg.draid.lockfree_read,
         };
-        if pays_lock && cfg.lock_overhead > SimTime::ZERO {
-            b.host_busy(cfg.lock_overhead);
+        if pays_lock {
+            b.host_busy(LOCK_OVERHEAD);
         }
         // Linux MD kernel-path costs: block-stack crossing plus stripe-cache
         // page handling (grows with width; Figs. 12/16). Writes always pass
@@ -221,16 +239,14 @@ impl<'a, 'c> Builder<'a, 'c> {
         // the page cache (the Fig. 15 collapse).
         if cfg.system == SystemKind::LinuxMd {
             let pays_pages = !is_read || !ctx.faulty.is_empty();
-            let mut busy = cfg.linux.per_io_extra;
+            let mut busy = LINUX_PER_IO_EXTRA;
             if pays_pages {
                 let pages = io.bytes().div_ceil(4096);
-                let per_page = cfg.linux.page_cost.as_nanos()
-                    + cfg.width as u64 * cfg.linux.page_cost_per_width.as_nanos();
+                let per_page = LINUX_PAGE_COST.as_nanos()
+                    + cfg.width as u64 * LINUX_PAGE_COST_PER_WIDTH.as_nanos();
                 busy += SimTime::from_nanos(pages * per_page);
             }
-            if busy > SimTime::ZERO {
-                b.host_busy(busy);
-            }
+            b.host_busy(busy);
         }
         b
     }
@@ -265,7 +281,7 @@ impl<'a, 'c> Builder<'a, 'c> {
     /// data bytes) to `member`, whose controller admits it. Returns the step
     /// every member-side work depends on.
     fn command(&mut self, member: usize, payload: u64, dep: usize) -> usize {
-        let bytes = self.ctx.cfg.command_bytes + payload;
+        let bytes = COMMAND_BYTES + payload;
         let cmd = self.xfer(self.ctx.host, self.node(member), bytes, &[dep]);
         let node = self.node(member);
         self.dag.add(StepKind::PerIo { node }, &[cmd])
@@ -314,7 +330,7 @@ impl<'a, 'c> Builder<'a, 'c> {
 
     /// Completion callback from `member` to the host.
     fn callback(&mut self, member: usize, deps: &[usize]) -> usize {
-        let bytes = self.ctx.cfg.callback_bytes;
+        let bytes = CALLBACK_BYTES;
         let arrive = self.xfer(self.node(member), self.ctx.host, bytes, deps);
         // Completion processing on the host stack: every callback consumes a
         // per-I/O slice of the host core, whichever system sent it.
@@ -601,7 +617,7 @@ impl<'a, 'c> Builder<'a, 'c> {
                 self.fan_out(m, chunk, src, &legs, &mut fwds);
             } else {
                 // The dead member's new data goes straight to each parity.
-                let bytes = self.ctx.cfg.command_bytes + seg.len;
+                let bytes = COMMAND_BYTES + seg.len;
                 for (slot, &(pm, _)) in legs.iter().enumerate() {
                     let fwd = self.xfer(self.ctx.host, self.node(pm), bytes, &[self.root]);
                     fwds[slot].push((m, fwd));

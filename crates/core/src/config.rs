@@ -101,33 +101,6 @@ pub enum DataMode {
     Full,
 }
 
-/// Extra per-I/O costs of the Linux MD kernel path, applied on the host CPU.
-///
-/// MD funnels every stripe head through the `raid5d` kernel thread and a
-/// stripe-cache of 4 KiB pages; the per-page cost grows with stripe width
-/// (wider stripes mean more stripe-cache bookkeeping per head), which is what
-/// bends Linux's curves downward as width grows (Figs. 12 and 16).
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct LinuxTuning {
-    /// Base handling cost per 4 KiB page on the write path.
-    pub page_cost: SimTime,
-    /// Additional per-page cost per member of stripe width.
-    pub page_cost_per_width: SimTime,
-    /// Extra fixed per-I/O cost of crossing the kernel block stack (on top
-    /// of the host core's base per-I/O cost).
-    pub per_io_extra: SimTime,
-}
-
-impl Default for LinuxTuning {
-    fn default() -> Self {
-        LinuxTuning {
-            page_cost: SimTime::from_nanos(1500),
-            page_cost_per_width: SimTime::from_nanos(160),
-            per_io_extra: SimTime::from_micros(5),
-        }
-    }
-}
-
 /// Full configuration of a simulated RAID array.
 #[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ArrayConfig {
@@ -146,23 +119,6 @@ pub struct ArrayConfig {
     /// Per-operation deadline before the host declares a timeout and retries
     /// (§5.4 "explicit timeout").
     pub op_deadline: SimTime,
-    /// Retry budget per user I/O before reporting failure.
-    pub max_retries: u32,
-    /// Consecutive drive errors before a member is marked faulty.
-    pub fault_threshold: u32,
-    /// Size of a command capsule on the wire.
-    pub command_bytes: u64,
-    /// Size of a completion/callback message on the wire.
-    pub callback_bytes: u64,
-    /// Host-core cost of acquiring+releasing a stripe lock, paid by the
-    /// locking systems on every I/O (the small-I/O read gap of Fig. 9 that
-    /// dRAID's lock-free read avoids).
-    pub lock_overhead: SimTime,
-    /// Linux MD kernel-path tuning.
-    pub linux: LinuxTuning,
-    /// Automatically rewrite the parity of stripes a scrub pass flags
-    /// (md's `repair` sync action). Disable to get report-only scrubs.
-    pub scrub_repair: bool,
     /// RNG seed (reducer selection, workloads derive from it).
     pub seed: u64,
 }
@@ -178,13 +134,6 @@ impl ArrayConfig {
             draid: DraidOptions::default(),
             data_mode: DataMode::Timing,
             op_deadline: SimTime::from_millis(250),
-            max_retries: 4,
-            fault_threshold: 3,
-            command_bytes: 128,
-            callback_bytes: 64,
-            lock_overhead: SimTime::from_nanos(1200),
-            linux: LinuxTuning::default(),
-            scrub_repair: true,
             seed: 0xD5A1D,
         }
     }

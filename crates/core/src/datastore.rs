@@ -55,11 +55,6 @@ impl ChunkStore {
         }
     }
 
-    /// Number of materialized chunks (test/diagnostic aid).
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
     fn chunk_len(&self) -> usize {
         self.layout.chunk_size() as usize
     }

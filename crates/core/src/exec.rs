@@ -9,6 +9,10 @@ use crate::dag::{Dag, StepKind};
 use crate::io::{IoError, IoKind};
 use crate::layout::{StripeIo, WriteMode};
 
+/// Retries of one stripe op before its user I/O fails with
+/// [`IoError::RetriesExhausted`].
+const MAX_RETRIES: u32 = 4;
+
 /// Why a stripe operation failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum OpFailure {
@@ -159,7 +163,7 @@ impl ArraySim {
             (op.io.clone(), op.kind, op.retries, op.force_rcw)
         };
         let stripe = io.stripe;
-        let stripe_degraded = self.stripe_degraded(stripe, &io);
+        let stripe_degraded = self.stripe_degraded(stripe);
         let purpose = match kind {
             IoKind::Read => Purpose::Read {
                 degraded: io.segments.iter().any(|s| self.faulty.contains(&s.member)),
@@ -257,7 +261,7 @@ impl ArraySim {
         matches!(&self.ops[idx], Some(op) if op.gen == gen)
     }
 
-    fn stripe_degraded(&self, stripe: u64, _io: &StripeIo) -> bool {
+    fn stripe_degraded(&self, stripe: u64) -> bool {
         if self.faulty.is_empty() {
             return false;
         }
@@ -462,10 +466,7 @@ impl ArraySim {
             return;
         }
 
-        let retry = failure.is_some()
-            && !no_retry
-            && op.retries < self.cfg.max_retries
-            && !self.is_failed();
+        let retry = failure.is_some() && !no_retry && op.retries < MAX_RETRIES && !self.is_failed();
         if retry {
             self.stats.retries += 1;
             let gen = self.fresh_gen();

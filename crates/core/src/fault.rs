@@ -27,7 +27,7 @@ use std::collections::BTreeSet;
 
 use draid_block::ServerId;
 use draid_net::LinkDir;
-use draid_sim::{Engine, SimTime, TimerHandle};
+use draid_sim::{Engine, SimTime};
 
 use crate::array::ArraySim;
 
@@ -154,7 +154,6 @@ impl ArraySim {
         let now = eng.now();
         match action {
             FaultAction::FailDrive { member } => self.inject_drive_failure(member),
-            FaultAction::DeclareFailed { member } => self.fail_member(member),
             FaultAction::Transient { member, duration } => {
                 self.inject_transient(now, member, duration)
             }
@@ -210,11 +209,6 @@ pub enum FaultAction {
     /// Drive fails permanently; the host must *discover* it (§5.4).
     FailDrive {
         /// Member whose drive dies.
-        member: usize,
-    },
-    /// Member is declared faulty immediately (skips detection).
-    DeclareFailed {
-        /// Member to declare.
         member: usize,
     },
     /// Drive errors out for a bounded window, then recovers.
@@ -325,11 +319,6 @@ impl FaultSchedule {
         self.at(at, FaultAction::FailDrive { member })
     }
 
-    /// At `at`, member `member` is declared faulty immediately.
-    pub fn declare_failed(self, at: SimTime, member: usize) -> Self {
-        self.at(at, FaultAction::DeclareFailed { member })
-    }
-
     /// At `at`, member `member` errors for `duration`, then recovers.
     pub fn transient(self, at: SimTime, member: usize, duration: SimTime) -> Self {
         self.at(at, FaultAction::Transient { member, duration })
@@ -417,20 +406,5 @@ impl FaultSchedule {
                 w.apply_fault(eng, action);
             });
         }
-    }
-
-    /// Like [`FaultSchedule::install`], but returns one [`TimerHandle`] per
-    /// injection, in schedule order, so a chaos test can call off the part
-    /// of the script that hasn't happened yet (`eng.cancel(handle)`);
-    /// canceling an already-fired injection is a no-op.
-    pub fn install_cancelable(self, eng: &mut Engine<ArraySim>) -> Vec<TimerHandle> {
-        self.events
-            .into_iter()
-            .map(|(at, action)| {
-                eng.schedule_timer_at(at, move |w: &mut ArraySim, eng| {
-                    w.apply_fault(eng, action);
-                })
-            })
-            .collect()
     }
 }

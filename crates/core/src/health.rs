@@ -7,8 +7,8 @@
 //!
 //! * **fail-stop** — drive/link errors that persist across several
 //!   op-deadline windows escalate `Healthy → Transient → Quarantined →
-//!   Faulty` (the classic §5.4 path; the final transition is what used to be
-//!   the bare `fault_threshold` counter).
+//!   Faulty` (the classic §5.4 path; three windowed errors declare the
+//!   member faulty).
 //! * **fail-slow** — a member that answers without errors but whose latency
 //!   EWMA sits persistently at `fail_slow_factor ×` the array median is a
 //!   gray member: it is moved to `Quarantined` so operators (and the
@@ -37,6 +37,9 @@ pub enum HealthState {
     Rebuilding,
 }
 
+/// Windowed errors that declare a member faulty (§5.4).
+const FAULT_THRESHOLD: u32 = 3;
+
 /// Detector tuning. Derived from the array configuration by
 /// [`HealthConfig::for_deadline`]; all thresholds are deterministic.
 #[derive(Clone, Copy, Debug)]
@@ -57,17 +60,17 @@ pub struct HealthConfig {
 }
 
 impl HealthConfig {
-    /// Tuning derived from the op deadline and the §5.4 fault threshold:
-    /// the error window is an eighth of the deadline (the first-retry
-    /// backoff), and fail-slow must persist for two deadlines before a
-    /// member is quarantined.
-    pub fn for_deadline(op_deadline: SimTime, fault_threshold: u32) -> Self {
+    /// Tuning derived from the op deadline: the error window is an eighth
+    /// of the deadline (the first-retry backoff), and fail-slow must
+    /// persist for two deadlines before a member is quarantined. Three
+    /// windowed errors declare a member faulty (§5.4).
+    pub fn for_deadline(op_deadline: SimTime) -> Self {
         HealthConfig {
             ewma_alpha: 0.25,
             fail_slow_factor: 3.0,
             fail_slow_grace: SimTime::from_nanos(2 * op_deadline.as_nanos()),
             min_samples: 8,
-            fault_threshold,
+            fault_threshold: FAULT_THRESHOLD,
             error_window: SimTime::from_nanos(op_deadline.as_nanos() / 8),
         }
     }
@@ -264,7 +267,7 @@ mod tests {
     use super::*;
 
     fn cfg() -> HealthConfig {
-        HealthConfig::for_deadline(SimTime::from_millis(8), 3)
+        HealthConfig::for_deadline(SimTime::from_millis(8))
     }
 
     #[test]

@@ -65,14 +65,11 @@ pub mod reducer;
 mod scrub;
 mod stats;
 pub mod trace;
-mod volume;
 
 pub use array::{ArraySim, CompletionHook};
 pub use bitmap::WriteIntentBitmap;
-pub use builders::{build as build_dag, BuildCtx, Purpose};
-pub use config::{
-    ArrayConfig, DataMode, DraidOptions, LinuxTuning, RaidLevel, ReducerPolicy, SystemKind,
-};
+pub use builders::{build as build_dag, BuildCtx, Purpose, CALLBACK_BYTES, COMMAND_BYTES};
+pub use config::{ArrayConfig, DataMode, DraidOptions, RaidLevel, ReducerPolicy, SystemKind};
 pub use dag::{Dag, Step, StepKind};
 pub use datastore::ChunkStore;
 pub use exec::BufPool;
@@ -84,4 +81,3 @@ pub use lock::LockTable;
 pub use rebuild::RebuildStatus;
 pub use scrub::ScrubStatus;
 pub use stats::ArrayStats;
-pub use volume::{VolumeError, VolumeId};

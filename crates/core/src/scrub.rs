@@ -23,8 +23,6 @@ pub struct ScrubStatus {
     /// Stripes whose stored parity did not match their data (data plane
     /// only; timing mode always verifies clean).
     pub mismatches: Vec<u64>,
-    /// Whether the pass is still running.
-    pub running: bool,
 }
 
 pub(crate) struct ScrubState {
@@ -38,7 +36,7 @@ pub(crate) struct ScrubState {
 impl ArraySim {
     /// Starts a scrub pass over stripes `0..stripes` with the given
     /// concurrency. Runs alongside foreground I/O; findings are available
-    /// from [`ArraySim::scrub_status`] when the pass drains.
+    /// from [`ArraySim::take_scrub_report`] when the pass drains.
     ///
     /// # Panics
     ///
@@ -63,16 +61,6 @@ impl ArraySim {
         }
     }
 
-    /// Progress of the current or completed scrub pass.
-    pub fn scrub_status(&self) -> Option<ScrubStatus> {
-        self.scrub.as_ref().map(|s| ScrubStatus {
-            checked: s.checked,
-            total: s.total,
-            mismatches: s.mismatches.clone(),
-            running: s.checked < s.total,
-        })
-    }
-
     /// Clears a completed scrub's findings; returns them.
     ///
     /// # Panics
@@ -87,7 +75,6 @@ impl ArraySim {
             checked: s.checked,
             total: s.total,
             mismatches: s.mismatches,
-            running: false,
         })
     }
 
@@ -136,7 +123,7 @@ impl ArraySim {
         // md's `repair` sync action: a flagged stripe gets its parity
         // rewritten from the data immediately, so latent corruption never
         // survives until the next member failure makes it unrecoverable.
-        if mismatch && !clean && self.cfg.scrub_repair && !self.is_failed() {
+        if mismatch && !clean && !self.is_failed() {
             self.stats.scrub_repairs += 1;
             self.repair_stripe(eng, stripe);
         }

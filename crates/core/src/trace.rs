@@ -219,23 +219,12 @@ pub struct PathBreakdown {
     /// Time attributed to each resource class along the path
     /// (queueing + service per step).
     pub per_class: Vec<(StepClass, SimTime)>,
-    /// Queueing time attributed to each resource class along the path.
-    pub per_class_queue: Vec<(StepClass, SimTime)>,
 }
 
 impl PathBreakdown {
     /// Time attributed to one class (queueing + service).
     pub fn class(&self, class: StepClass) -> SimTime {
         self.per_class
-            .iter()
-            .find(|(c, _)| *c == class)
-            .map(|(_, t)| *t)
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Queueing time attributed to one class.
-    pub fn class_queue(&self, class: StepClass) -> SimTime {
-        self.per_class_queue
             .iter()
             .find(|(c, _)| *c == class)
             .map(|(_, t)| *t)
@@ -272,16 +261,12 @@ pub fn critical_path(dag: &crate::dag::Dag, events: &[TraceEvent]) -> Option<Pat
     // Start from the op's last finisher and walk gating dependencies back.
     let mut cur = (0..n).max_by_key(|&i| completed(i))?;
     let last = cur;
-    let zero_classes = || {
-        vec![
-            (StepClass::Network, SimTime::ZERO),
-            (StepClass::Drive, SimTime::ZERO),
-            (StepClass::Cpu, SimTime::ZERO),
-            (StepClass::Control, SimTime::ZERO),
-        ]
-    };
-    let mut per_class = zero_classes();
-    let mut per_class_queue = zero_classes();
+    let mut per_class = vec![
+        (StepClass::Network, SimTime::ZERO),
+        (StepClass::Drive, SimTime::ZERO),
+        (StepClass::Cpu, SimTime::ZERO),
+        (StepClass::Control, SimTime::ZERO),
+    ];
     let mut queue = SimTime::ZERO;
     let mut service = SimTime::ZERO;
     let start_of_path;
@@ -295,11 +280,6 @@ pub fn critical_path(dag: &crate::dag::Dag, events: &[TraceEvent]) -> Option<Pat
         for (c, t) in &mut per_class {
             if *c == class {
                 *t += step_queue + step_service;
-            }
-        }
-        for (c, t) in &mut per_class_queue {
-            if *c == class {
-                *t += step_queue;
             }
         }
         let deps = &dag.step(cur).deps;
@@ -319,7 +299,6 @@ pub fn critical_path(dag: &crate::dag::Dag, events: &[TraceEvent]) -> Option<Pat
         queue,
         service,
         per_class,
-        per_class_queue,
     })
 }
 

@@ -391,3 +391,30 @@ fn tracing_captures_step_timelines() {
     assert_eq!(trace.for_user(1).len(), events.len());
     assert!(trace.summary().contains("drive"));
 }
+
+#[test]
+fn host_link_outage_exhausts_retries() {
+    // The host's own link stays down past the whole retry backoff ladder
+    // (D/8 + D/4 + D/2 + D, each stretched by up to 1.25): every attempt
+    // fails at its first transfer, blaming no member, until the write runs
+    // out of retries.
+    let (mut array, mut eng) = make(SystemKind::Draid, RaidLevel::Raid5);
+    let outage = SimTime::from_nanos(3 * array.config().op_deadline.as_nanos());
+    let host = array.cluster.host_node();
+    array
+        .cluster
+        .fabric_mut()
+        .schedule_link_down(host, SimTime::ZERO, outage);
+    array.submit(&mut eng, UserIo::write(0, 4 * KIB));
+    eng.run(&mut array);
+    let done = array.drain_completions();
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].error, Some(IoError::RetriesExhausted));
+    assert!(
+        done[0].completed < outage,
+        "gave up while the link was down"
+    );
+    assert_eq!(array.stats.retries, 4);
+    assert_eq!(array.stats.failed_ios, 1);
+    assert!(array.faulty_members().is_empty());
+}

@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 use draid_block::ServerId;
 use draid_core::{
     build_dag, ArrayConfig, BuildCtx, DraidOptions, Layout, Purpose, RaidLevel, StepKind,
-    SystemKind, WriteMode,
+    SystemKind, WriteMode, CALLBACK_BYTES, COMMAND_BYTES,
 };
 use draid_net::NodeId;
 
@@ -79,7 +79,7 @@ fn draid_rmw_host_sends_only_new_data() {
     // Exactly one peer transfer of the partial parity to the P bdev.
     let p_node = fx.nodes[fx.layout.p_member(0)];
     let peer_bytes = dag.bytes_received_by(p_node);
-    assert_eq!(peer_bytes, 128 * KIB + fx.cfg.command_bytes);
+    assert_eq!(peer_bytes, 128 * KIB + COMMAND_BYTES);
 }
 
 #[test]
@@ -171,7 +171,7 @@ fn degraded_read_normal_segments_bypass_reducer() {
     let reducer_in = dag.bytes_received_by(fx.nodes[reducer]);
     assert_eq!(
         reducer_in,
-        6 * 512 * KIB + fx.cfg.command_bytes,
+        6 * 512 * KIB + COMMAND_BYTES,
         "6 peers stream partials to the reducer"
     );
     // The failed member is never touched.
@@ -279,7 +279,7 @@ fn pipeline_ablation_serializes_and_drops_bdev_callbacks() {
     let cbs = |dag: &draid_core::Dag| {
         dag.count_steps(|k| {
             matches!(k, StepKind::Transfer { to, bytes, .. }
-            if *to == HOST && *bytes == fx_pipe.cfg.callback_bytes)
+            if *to == HOST && *bytes == CALLBACK_BYTES)
         })
     };
     assert_eq!(cbs(&piped), 2);

@@ -97,11 +97,6 @@ impl ReedSolomon {
         self.k
     }
 
-    /// Number of parity chunks.
-    pub fn parity_chunks(&self) -> usize {
-        self.m
-    }
-
     /// The parity coefficient applied to data chunk `i` for parity row `j`
     /// (what a dRAID data bdev would use when forwarding its partial term).
     pub fn coefficient(&self, parity_row: usize, data_index: usize) -> u8 {

@@ -233,11 +233,6 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// A node's human-readable name.
     pub fn node_name(&self, node: NodeId) -> &str {
         &self.nodes[node.0].name
@@ -273,16 +268,6 @@ impl Fabric {
             .iter()
             .min_by_key(|&&n| self.nics[n].connections)
             .expect("nodes have at least one NIC")
-    }
-
-    /// Source node of a connection.
-    pub fn conn_source(&self, conn: ConnId) -> NodeId {
-        self.connections[conn.0].from_node
-    }
-
-    /// Destination node of a connection.
-    pub fn conn_dest(&self, conn: ConnId) -> NodeId {
-        self.connections[conn.0].to_node
     }
 
     /// Sends `bytes` over `conn`. Returns the delivery window: `start` is
@@ -507,18 +492,6 @@ impl Fabric {
                 LinkDir::Ingress => self.nics[n].ingress.busy_elapsed(at),
             })
             .fold(SimTime::ZERO, |a, b| a + b)
-    }
-
-    /// Earliest time a node's least-busy egress NIC frees up — a liveness
-    /// signal used by the bandwidth-aware reducer selection to estimate
-    /// available bandwidth (§6.2).
-    pub fn egress_backlog(&self, node: NodeId, now: SimTime) -> SimTime {
-        self.nodes[node.0]
-            .nics
-            .iter()
-            .map(|&n| self.nics[n].egress.next_free().saturating_sub(now))
-            .min()
-            .unwrap_or(SimTime::ZERO)
     }
 
     /// Bytes a node's links dropped by refusing transfers (fault injection),

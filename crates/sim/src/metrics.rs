@@ -151,11 +151,6 @@ impl Histogram {
         }
     }
 
-    /// Whether this histogram uses the bounded-memory bucketed representation.
-    pub fn is_bucketed(&self) -> bool {
-        matches!(self.repr, Repr::Bucketed { .. })
-    }
-
     /// Records one latency sample.
     pub fn record(&mut self, sample: SimTime) {
         let ns = sample.as_nanos();

@@ -10,7 +10,7 @@
 //! `--quick` shortens each measurement (CI smoke); `--out` overrides the
 //! output path. The JSON carries GB/s per (kernel, size) plus the
 //! wide-vs-scalar `mul_acc` speedup at 64 KiB — the number the acceptance
-//! bar (≥ 5×) checks.
+//! bar (≥ 5×) checks — and the machine record ([`draid_bench::machine`]).
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -158,6 +158,7 @@ fn main() {
     let _ = writeln!(json, "  \"bench\": \"kernels\",");
     let _ = writeln!(json, "  \"unit\": \"GB/s\",");
     let _ = writeln!(json, "  \"quick\": {quick},");
+    let _ = writeln!(json, "  \"machine\": {},", draid_bench::machine::json());
     let _ = writeln!(json, "  \"simd_active\": {},", kernels::simd_active());
     let _ = writeln!(json, "  \"mul_acc_speedup_at_64KiB\": {:.2},", speedup);
     let _ = writeln!(json, "  \"results\": [");

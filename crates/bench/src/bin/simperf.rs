@@ -24,11 +24,17 @@
 //! * `timer_arm_cancel` — arm a deadline per op, then cancel it from the
 //!   op's completion (first-class `cancel` vs. the old tombstone-closure
 //!   idiom that fires every dead deadline as a no-op closure call).
+//! * `deadline_backlog` — the measured heap of the 4 KiB RMW benchmark run
+//!   (`fio_rmw_4k`): about 90 ops in flight, each a chain of 20 step events
+//!   under a long cancelable deadline, over ~24 k canceled deadlines not yet
+//!   due. Stresses step dispatch beside a backlog of stale timer entries.
+//!
+//! The report also records the machine it ran on ([`draid_bench::machine`]).
 
 use std::time::{Duration, Instant};
 
 use draid_bench::{baseline, figures, run_report, ReportConfig};
-use draid_sim::SimTime;
+use draid_sim::{SimTime, TimerHandle};
 
 /// splitmix64, for deterministic pseudorandom event times.
 fn splitmix64(mut x: u64) -> u64 {
@@ -207,6 +213,140 @@ fn timer_cancel_baseline(n: u64) -> (u64, Duration) {
     (eng.stats().events_fired, start.elapsed())
 }
 
+/// Ops in flight in `deadline_backlog`, beside `BACKLOG_STALE` canceled
+/// deadlines: the shape of the event heap at the end of a dRAID
+/// `fio_rmw_4k` run, which held 86 live events over 24,456 stale deadlines.
+const BACKLOG_LIVE: u64 = 90;
+const BACKLOG_STALE: u64 = 24_000;
+/// Step events per op (`fio_rmw_4k` runs 20.3 engine events per op).
+const BACKLOG_STEPS: u64 = 20;
+/// Each op's deadline. Steps take 500 ns on average, so ops complete at
+/// `BACKLOG_LIVE / (BACKLOG_STEPS * 500 ns)` and their canceled deadlines
+/// keep about `BACKLOG_STALE` stale entries pending.
+const BACKLOG_DEADLINE: SimTime =
+    SimTime::from_nanos(BACKLOG_STALE * BACKLOG_STEPS * 500 / BACKLOG_LIVE);
+
+/// Due time of the `i`-th pre-seeded canceled deadline, spread evenly over
+/// one deadline so the backlog starts at its steady-state size.
+fn backlog_seed_at(i: u64) -> SimTime {
+    SimTime::from_nanos(BACKLOG_DEADLINE.as_nanos() * (i + 1) / BACKLOG_STALE)
+}
+
+/// The pseudorandom delay before an op's next step.
+fn backlog_delta(rng: &mut u64) -> SimTime {
+    *rng = splitmix64(*rng);
+    SimTime::from_nanos(1 + *rng % 1_000)
+}
+
+/// `deadline_backlog` on the new engine: `ops` ops, each arming a
+/// cancelable deadline and canceling it after its last step. Only the run
+/// is timed, not the seeding of the stale backlog.
+fn deadline_backlog_new(ops: u64) -> (u64, Duration) {
+    struct W {
+        rng: u64,
+        started: u64,
+        completed: u64,
+        ops: u64,
+    }
+    type E = draid_sim::Engine<W>;
+    fn start_op(w: &mut W, eng: &mut E) {
+        w.started += 1;
+        let deadline = eng.schedule_timer_in(BACKLOG_DEADLINE, |_, _| {
+            panic!("deadline fired despite cancellation");
+        });
+        step(w, eng, deadline, BACKLOG_STEPS);
+    }
+    fn step(w: &mut W, eng: &mut E, deadline: TimerHandle, left: u64) {
+        let delta = backlog_delta(&mut w.rng);
+        eng.schedule_in(delta, move |w: &mut W, eng| {
+            if left > 1 {
+                step(w, eng, deadline, left - 1);
+                return;
+            }
+            assert!(eng.cancel(deadline), "deadline still pending");
+            w.completed += 1;
+            if w.completed == w.ops {
+                eng.stop();
+            } else if w.started < w.ops {
+                start_op(w, eng);
+            }
+        });
+    }
+    let mut eng: E = draid_sim::Engine::new();
+    for i in 0..BACKLOG_STALE {
+        let stale = eng.schedule_timer_at(backlog_seed_at(i), |_, _| {});
+        eng.cancel(stale);
+    }
+    let mut w = W {
+        rng: 0x0123_4567_89AB_CDEF,
+        started: 0,
+        completed: 0,
+        ops,
+    };
+    let start = Instant::now();
+    for _ in 0..BACKLOG_LIVE {
+        start_op(&mut w, &mut eng);
+    }
+    eng.run(&mut w);
+    assert_eq!(w.completed, ops, "every op must complete");
+    (eng.stats().events_fired, start.elapsed())
+}
+
+/// The same ops on the baseline engine, with tombstone deadlines that fire
+/// as no-ops (the old API had no cancel).
+fn deadline_backlog_baseline(ops: u64) -> (u64, Duration) {
+    struct W {
+        rng: u64,
+        started: u64,
+        completed: u64,
+        ops: u64,
+        done: Vec<bool>,
+    }
+    type E = baseline::Engine<W>;
+    fn start_op(w: &mut W, eng: &mut E) {
+        let op = w.started as usize;
+        w.started += 1;
+        eng.schedule_in(BACKLOG_DEADLINE, move |w: &mut W, _| {
+            assert!(w.done[op], "deadline fired on a live op");
+        });
+        step(w, eng, op, BACKLOG_STEPS);
+    }
+    fn step(w: &mut W, eng: &mut E, op: usize, left: u64) {
+        let delta = backlog_delta(&mut w.rng);
+        eng.schedule_in(delta, move |w: &mut W, eng| {
+            if left > 1 {
+                step(w, eng, op, left - 1);
+                return;
+            }
+            w.done[op] = true;
+            w.completed += 1;
+            if w.completed == w.ops {
+                eng.stop();
+            } else if w.started < w.ops {
+                start_op(w, eng);
+            }
+        });
+    }
+    let mut eng: E = baseline::Engine::new();
+    for i in 0..BACKLOG_STALE {
+        eng.schedule_at(backlog_seed_at(i), |_, _| {});
+    }
+    let mut w = W {
+        rng: 0x0123_4567_89AB_CDEF,
+        started: 0,
+        completed: 0,
+        ops,
+        done: vec![false; ops as usize],
+    };
+    let start = Instant::now();
+    for _ in 0..BACKLOG_LIVE {
+        start_op(&mut w, &mut eng);
+    }
+    eng.run(&mut w);
+    assert_eq!(w.completed, ops, "every op must complete");
+    (eng.stats().events_fired, start.elapsed())
+}
+
 fn json_escape_free(s: &str) -> &str {
     debug_assert!(s.chars().all(|c| c != '"' && c != '\\' && !c.is_control()));
     s
@@ -226,6 +366,7 @@ fn main() {
     let chain_n = 200_000 / scale;
     let backlog = 10_000 / scale;
     let ops = 100_000 / scale;
+    let backlog_ops = 10_000 / scale;
 
     let mut results: Vec<Measurement> = Vec::new();
     let mut measure =
@@ -263,6 +404,12 @@ fn main() {
     measure("timer_arm_cancel", "baseline", &mut || {
         timer_cancel_baseline(ops)
     });
+    measure("deadline_backlog", "new", &mut || {
+        deadline_backlog_new(backlog_ops)
+    });
+    measure("deadline_backlog", "baseline", &mut || {
+        deadline_backlog_baseline(backlog_ops)
+    });
 
     let rate = |scenario: &str, engine: &str| {
         results
@@ -275,6 +422,7 @@ fn main() {
         "heap_random_steady",
         "completion_chain_backlog",
         "timer_arm_cancel",
+        "deadline_backlog",
     ];
     let speedups: Vec<(&str, f64)> = scenarios
         .iter()
@@ -320,6 +468,7 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"simperf\",");
     let _ = writeln!(json, "  \"quick\": {quick},");
+    let _ = writeln!(json, "  \"machine\": {},", draid_bench::machine::json());
     let _ = writeln!(json, "  \"results\": [");
     for (i, m) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };

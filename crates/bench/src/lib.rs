@@ -31,6 +31,7 @@ mod exp_misc;
 mod figure;
 pub mod figures;
 pub mod json;
+pub mod machine;
 pub mod parallel;
 pub mod report;
 mod setup;

@@ -1,16 +1,41 @@
 //! The checked-in `BENCH_sim.json` scheduler-throughput report must parse,
 //! have the shape `simperf` promises, and carry a headline speedup at or
-//! above the engine-overhaul acceptance bar.
+//! above the engine-overhaul acceptance bar. It and `BENCH_kernels.json`
+//! must both record the machine they were measured on.
 
 use draid_bench::json::{self, Json};
 
 const BENCH: &str = include_str!("../../../BENCH_sim.json");
+const KERNELS: &str = include_str!("../../../BENCH_kernels.json");
 
-const SCENARIOS: [&str; 3] = [
+const SCENARIOS: [&str; 4] = [
     "heap_random_steady",
     "completion_chain_backlog",
     "timer_arm_cancel",
+    "deadline_backlog",
 ];
+
+#[test]
+fn checked_in_reports_record_their_machine() {
+    for (file, text) in [("BENCH_sim.json", BENCH), ("BENCH_kernels.json", KERNELS)] {
+        let doc = json::parse(text).unwrap_or_else(|e| panic!("{file} parses: {e:?}"));
+        let machine = doc
+            .get("machine")
+            .unwrap_or_else(|| panic!("{file}: machine record"));
+        for key in ["cpu_model", "rustc", "git_rev"] {
+            let value = machine.get(key).and_then(Json::as_str);
+            assert!(
+                value.is_some_and(|v| !v.is_empty()),
+                "{file}: machine.{key} missing or empty"
+            );
+        }
+        let nproc = machine.get("nproc").and_then(Json::as_num);
+        assert!(
+            nproc.is_some_and(|n| n >= 1.0),
+            "{file}: machine.nproc missing or zero"
+        );
+    }
+}
 
 #[test]
 fn checked_in_sim_bench_has_expected_shape() {

@@ -196,6 +196,10 @@ fn parity_extent(io: &StripeIo) -> u64 {
     hi - lo
 }
 
+/// Steps (and dependency edges) each DAG reserves up front, so a typical
+/// graph — a 4 KiB RMW has about 20 steps — never reallocates while built.
+const STEPS_RESERVED: usize = 32;
+
 /// Per-parity-leg contributions: `(contributing member, arrival step)` for
 /// each parity member, in leg order.
 type Legs = Vec<Vec<(usize, usize)>>;
@@ -211,7 +215,7 @@ struct Builder<'a, 'c> {
 impl<'a, 'c> Builder<'a, 'c> {
     /// A DAG whose root is the host's per-I/O software cost alone.
     fn bare(ctx: &'a BuildCtx<'c>) -> Self {
-        let mut dag = Dag::new();
+        let mut dag = Dag::with_capacity(STEPS_RESERVED);
         let root = dag.add(StepKind::PerIo { node: ctx.host }, &[]);
         Builder { ctx, dag, root }
     }

@@ -73,20 +73,28 @@ pub enum StepKind {
     Join,
 }
 
-/// A step plus its dependencies (indices into the owning [`Dag`]).
-#[derive(Clone, Debug)]
-pub struct Step {
+/// A step plus its dependencies (indices into the owning [`Dag`]), borrowed
+/// from the DAG's flat arrays.
+#[derive(Clone, Copy, Debug)]
+pub struct Step<'a> {
     /// What the step does.
     pub kind: StepKind,
     /// Steps that must complete first.
-    pub deps: Vec<usize>,
+    pub deps: &'a [usize],
 }
 
 /// A dependency DAG of steps. Indices are creation-ordered, and dependencies
 /// may only point backwards, which makes cycles unrepresentable.
+///
+/// Stored as compressed sparse rows: one flat array holds every step's
+/// dependencies back to back, and `dep_end[i]` is where step `i`'s run ends
+/// (it starts where step `i - 1`'s ends), so a graph costs three
+/// allocations however many steps it has.
 #[derive(Clone, Debug, Default)]
 pub struct Dag {
-    steps: Vec<Step>,
+    kinds: Vec<StepKind>,
+    deps: Vec<usize>,
+    dep_end: Vec<usize>,
 }
 
 impl Dag {
@@ -95,49 +103,62 @@ impl Dag {
         Self::default()
     }
 
+    /// Creates an empty DAG with room for `steps` steps and as many
+    /// dependency edges before it reallocates.
+    pub fn with_capacity(steps: usize) -> Self {
+        Dag {
+            kinds: Vec::with_capacity(steps),
+            deps: Vec::with_capacity(steps),
+            dep_end: Vec::with_capacity(steps),
+        }
+    }
+
     /// Adds a step depending on earlier steps; returns its index.
     ///
     /// # Panics
     ///
     /// Panics if any dependency index is not an earlier step.
     pub fn add(&mut self, kind: StepKind, deps: &[usize]) -> usize {
-        let id = self.steps.len();
+        let id = self.kinds.len();
         for &d in deps {
             assert!(d < id, "dependency {d} must precede step {id}");
         }
-        self.steps.push(Step {
-            kind,
-            deps: deps.to_vec(),
-        });
+        self.kinds.push(kind);
+        self.deps.extend_from_slice(deps);
+        self.dep_end.push(self.deps.len());
         id
     }
 
     /// Number of steps.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.kinds.len()
     }
 
     /// Whether the DAG has no steps.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.kinds.is_empty()
     }
 
     /// Immutable step access.
-    pub fn step(&self, id: usize) -> &Step {
-        &self.steps[id]
+    pub fn step(&self, id: usize) -> Step<'_> {
+        let start = if id == 0 { 0 } else { self.dep_end[id - 1] };
+        Step {
+            kind: self.kinds[id],
+            deps: &self.deps[start..self.dep_end[id]],
+        }
     }
 
     /// Iterates over steps in index order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Step)> {
-        self.steps.iter().enumerate()
+    pub fn iter(&self) -> impl Iterator<Item = (usize, Step<'_>)> {
+        (0..self.len()).map(|id| (id, self.step(id)))
     }
 
     /// Total payload bytes moved by `Transfer` steps whose source is `node`
     /// (DAG-level traffic accounting used in tests).
     pub fn bytes_sent_by(&self, node: NodeId) -> u64 {
-        self.steps
+        self.kinds
             .iter()
-            .filter_map(|s| match s.kind {
+            .filter_map(|k| match *k {
                 StepKind::Transfer { from, bytes, .. } if from == node => Some(bytes),
                 _ => None,
             })
@@ -146,9 +167,9 @@ impl Dag {
 
     /// Total payload bytes received by `node` via `Transfer` steps.
     pub fn bytes_received_by(&self, node: NodeId) -> u64 {
-        self.steps
+        self.kinds
             .iter()
-            .filter_map(|s| match s.kind {
+            .filter_map(|k| match *k {
                 StepKind::Transfer { to, bytes, .. } if to == node => Some(bytes),
                 _ => None,
             })
@@ -157,7 +178,7 @@ impl Dag {
 
     /// Counts steps matching a predicate (test helper).
     pub fn count_steps(&self, pred: impl Fn(&StepKind) -> bool) -> usize {
-        self.steps.iter().filter(|s| pred(&s.kind)).count()
+        self.kinds.iter().filter(|k| pred(k)).count()
     }
 }
 
@@ -194,7 +215,8 @@ mod tests {
             &[b],
         );
         assert_eq!(dag.len(), 3);
-        assert_eq!(dag.step(c).deps, vec![b]);
+        assert_eq!(dag.step(c).deps, [b]);
+        assert!(dag.step(a).deps.is_empty());
         assert_eq!(dag.bytes_sent_by(host), 1024);
         assert_eq!(dag.bytes_received_by(host), 1024);
         assert_eq!(

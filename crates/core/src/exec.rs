@@ -13,6 +13,9 @@ use crate::layout::{StripeIo, WriteMode};
 /// [`IoError::RetriesExhausted`].
 const MAX_RETRIES: u32 = 4;
 
+/// `OpState::unmet` marker of a completed step.
+const STEP_DONE: u32 = u32::MAX;
+
 /// Why a stripe operation failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum OpFailure {
@@ -33,9 +36,13 @@ pub(crate) struct OpState {
     /// Decided at launch; `None` until then.
     pub purpose: Option<Purpose>,
     pub dag: Dag,
-    dependents: Vec<Vec<usize>>,
+    /// Dependents as compressed sparse rows: step `i`'s dependents are
+    /// `dependents[dep_off[i]..dep_off[i + 1]]`, in ascending step order.
+    dep_off: Vec<u32>,
+    dependents: Vec<u32>,
+    /// Dependencies each step still waits for; [`STEP_DONE`] once it has
+    /// completed.
     unmet: Vec<u32>,
-    done: Vec<bool>,
     remaining: usize,
     pub holds_lock: bool,
     pub retries: u32,
@@ -45,7 +52,6 @@ pub(crate) struct OpState {
     pub force_rcw: bool,
     /// Set when this op is a background scrub check.
     pub scrub: bool,
-    launched: bool,
     /// The armed §5.4 deadline timer; canceled when the op finishes so dead
     /// timers stop occupying the event queue.
     pub deadline_timer: Option<TimerHandle>,
@@ -113,16 +119,15 @@ impl OpState {
             kind,
             purpose: None,
             dag: Dag::new(),
+            dep_off: Vec::new(),
             dependents: Vec::new(),
             unmet: Vec::new(),
-            done: Vec::new(),
             remaining: 0,
             holds_lock: false,
             retries: 0,
             rebuild_of: None,
             force_rcw: false,
             scrub: false,
-            launched: false,
             deadline_timer: None,
             launch_timer: None,
         }
@@ -130,20 +135,38 @@ impl OpState {
 
     fn install_dag(&mut self, dag: Dag) {
         let n = dag.len();
-        let mut dependents = vec![Vec::new(); n];
-        let mut unmet = vec![0u32; n];
-        for (id, step) in dag.iter() {
-            unmet[id] = step.deps.len() as u32;
-            for &d in &step.deps {
-                dependents[d].push(id);
+        // Step ids and per-step dependency counts are below `n`, so the
+        // `as u32` casts below are lossless.
+        assert!(u32::try_from(n).is_ok(), "{n} DAG steps overflow u32 ids");
+        // Counting pass: step `d`'s dependent count lands in `dep_off[d + 2]`,
+        // so after the prefix sum `dep_off[d + 1]` is where `d`'s run starts.
+        // Filling advances that cursor to the run's end, which leaves
+        // `dep_off[d]..dep_off[d + 1]` as `d`'s run and one spare entry.
+        let mut dep_off = vec![0u32; n + 2];
+        let mut unmet = Vec::with_capacity(n);
+        for (_, step) in dag.iter() {
+            unmet.push(step.deps.len() as u32);
+            for &d in step.deps {
+                dep_off[d + 2] += 1;
             }
         }
+        for i in 2..n + 2 {
+            dep_off[i] += dep_off[i - 1];
+        }
+        let mut dependents = vec![0u32; dep_off[n + 1] as usize];
+        for (id, step) in dag.iter() {
+            for &d in step.deps {
+                let cursor = &mut dep_off[d + 1];
+                dependents[*cursor as usize] = id as u32;
+                *cursor += 1;
+            }
+        }
+        dep_off.pop();
         self.dag = dag;
+        self.dep_off = dep_off;
         self.dependents = dependents;
         self.unmet = unmet;
-        self.done = vec![false; n];
         self.remaining = n;
-        self.launched = true;
     }
 }
 
@@ -234,20 +257,17 @@ impl ArraySim {
             w.on_timeout(eng, idx, gen);
         });
         self.ops[idx].as_mut().expect("op vanished").deadline_timer = Some(deadline);
-        // Start every dependency-free step.
-        let roots: Vec<usize> = {
+        // Start every dependency-free step, in step order.
+        let n = self.ops[idx].as_ref().expect("op vanished").dag.len();
+        if n == 0 {
+            self.finish_op(eng, idx, None, false);
+            return;
+        }
+        for sid in 0..n {
             let op = self.ops[idx].as_ref().expect("op vanished");
-            if op.dag.is_empty() {
-                self.finish_op(eng, idx, None, false);
-                return;
+            if !op.dag.step(sid).deps.is_empty() {
+                continue;
             }
-            op.dag
-                .iter()
-                .filter(|(i, _)| op.unmet[*i] == 0)
-                .map(|(i, _)| i)
-                .collect()
-        };
-        for sid in roots {
             self.start_step(eng, idx, sid);
             if !self.op_live(idx, gen) {
                 return; // op failed and was reaped (slot may be recycled)
@@ -372,36 +392,31 @@ impl ArraySim {
     }
 
     fn on_step_done(&mut self, eng: &mut Engine<ArraySim>, idx: usize, gen: u64, sid: usize) {
-        let mut finished = false;
-        let ready: Vec<usize> = {
+        let (first, end, finished) = {
             let Some(op) = self.ops[idx].as_mut() else {
                 return; // op already finished/retried
             };
-            if op.gen != gen || op.done[sid] {
+            if op.gen != gen || op.unmet[sid] == STEP_DONE {
                 return;
             }
-            op.done[sid] = true;
+            op.unmet[sid] = STEP_DONE;
             op.remaining -= 1;
-            let mut ready = Vec::new();
-            let dependents = std::mem::take(&mut op.dependents[sid]);
-            for &dep in &dependents {
-                op.unmet[dep] -= 1;
-                if op.unmet[dep] == 0 {
-                    ready.push(dep);
-                }
-            }
-            op.dependents[sid] = dependents;
-            if op.remaining == 0 {
-                debug_assert!(ready.is_empty());
-                finished = true;
-            }
-            ready
+            let (first, end) = (op.dep_off[sid] as usize, op.dep_off[sid + 1] as usize);
+            (first, end, op.remaining == 0)
         };
         if finished {
+            debug_assert_eq!(first, end, "the last step has no dependents");
             self.finish_op(eng, idx, None, false);
             return;
         }
-        for dep in ready {
+        // Start each dependent whose last dependency this was, in step order.
+        for k in first..end {
+            let op = self.ops[idx].as_mut().expect("live op");
+            let dep = op.dependents[k] as usize;
+            op.unmet[dep] -= 1;
+            if op.unmet[dep] != 0 {
+                continue;
+            }
             self.start_step(eng, idx, dep);
             if !self.op_live(idx, gen) {
                 return;
@@ -653,8 +668,37 @@ pub(crate) fn retry_backoff(deadline: SimTime, retries: u32, gen: u64) -> SimTim
 
 #[cfg(test)]
 mod tests {
-    use super::retry_backoff;
+    use super::{retry_backoff, OpState};
+    use crate::dag::{Dag, StepKind};
+    use crate::io::IoKind;
+    use crate::layout::StripeIo;
     use draid_sim::SimTime;
+
+    #[test]
+    fn installed_dependents_invert_the_deps_in_step_order() {
+        // 0 -> {1, 2, 4}, 1 -> 3, 2 -> 3, {0, 3} -> 4; step 5 is a second
+        // root with no dependents.
+        let mut dag = Dag::new();
+        dag.add(StepKind::Join, &[]);
+        dag.add(StepKind::Join, &[0]);
+        dag.add(StepKind::Join, &[0]);
+        dag.add(StepKind::Join, &[2, 1]);
+        dag.add(StepKind::Join, &[3, 0]);
+        dag.add(StepKind::Join, &[]);
+        let mut op = OpState::new(1, 0, StripeIo::new(0, 0, Vec::new()), IoKind::Read);
+        op.install_dag(dag);
+        let dependents =
+            |i: usize| &op.dependents[op.dep_off[i] as usize..op.dep_off[i + 1] as usize];
+        assert_eq!(op.dep_off.len(), 7);
+        assert_eq!(dependents(0), [1, 2, 4]);
+        assert_eq!(dependents(1), [3]);
+        assert_eq!(dependents(2), [3]);
+        assert_eq!(dependents(3), [4]);
+        assert!(dependents(4).is_empty());
+        assert!(dependents(5).is_empty());
+        assert_eq!(op.unmet, [0, 1, 1, 2, 2, 0]);
+        assert_eq!(op.remaining, 6);
+    }
 
     const DEADLINE: SimTime = SimTime::from_millis(250);
 

@@ -282,7 +282,7 @@ pub fn critical_path(dag: &crate::dag::Dag, events: &[TraceEvent]) -> Option<Pat
                 *t += step_queue + step_service;
             }
         }
-        let deps = &dag.step(cur).deps;
+        let deps = dag.step(cur).deps;
         if deps.is_empty() {
             start_of_path = issued;
             break;

@@ -2,8 +2,8 @@
 //!
 //! Scheduling core (see DESIGN.md §9 "Engine internals"):
 //!
-//! * Event closures live in a **slab** with a free-list; the binary heap
-//!   sifts only compact `(time, seq, slot)` triples, never whole events.
+//! * Event closures live in a **slab** with a free-list; the binary heaps
+//!   sift only compact `(time, seq, slot)` triples, never whole events.
 //! * Events scheduled at the current instant — completion chains, the most
 //!   common pattern in the executor — bypass the heap entirely through a
 //!   **same-instant FIFO** (`VecDeque`).
@@ -11,9 +11,15 @@
 //!   via their [`TimerHandle`]; a canceled timer's heap entry is retired
 //!   lazily when popped, advancing the clock to its due time exactly as a
 //!   fired no-op would, so cancellation never perturbs the clock trajectory.
+//! * Timers live in a **heap of their own**. Op deadlines are armed far
+//!   ahead and almost always canceled, so their stale entries pile up until
+//!   their due time; kept apart, they never deepen the sifts of the
+//!   short-lived plain events. A fixed-length deadline armed now is due
+//!   after every deadline armed before it, so its push does not sift.
 //!
 //! The global firing order is `(time, seq)` with `seq` assigned in
-//! scheduling order — the determinism contract every artifact diff rests on.
+//! scheduling order across both heaps and the FIFO — the determinism
+//! contract every artifact diff rests on.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -24,6 +30,7 @@ type BoxedEvent<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
 
 /// Compact heap entry: 24 bytes moved per sift, addressing the slab slot
 /// that owns the closure.
+#[derive(Clone, Copy)]
 struct HeapEntry {
     time: SimTime,
     seq: u64,
@@ -105,7 +112,10 @@ pub struct EngineStats {
 pub struct Engine<W> {
     now: SimTime,
     seq: u64,
+    /// Plain events scheduled after `now` through [`Engine::schedule_at`].
     heap: BinaryHeap<HeapEntry>,
+    /// Cancelable timers, including the stale entries of canceled ones.
+    timers: BinaryHeap<HeapEntry>,
     slots: Vec<EventSlot<W>>,
     free: Vec<u32>,
     /// Same-instant FIFO: `(seq, event)` pairs scheduled at `now`. Entries
@@ -141,6 +151,7 @@ impl<W> Engine<W> {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
+            timers: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
             fast: VecDeque::new(),
@@ -245,8 +256,8 @@ impl<W> Engine<W> {
     }
 
     /// Schedules a cancelable timer at absolute time `at` and returns its
-    /// handle. Timers always go through the slab + heap (never the
-    /// same-instant fast path), but fire in exactly the same global
+    /// handle. Timers always go through the slab and the timer heap (never
+    /// the same-instant fast path), but fire in exactly the same global
     /// `(time, seq)` order as plain events.
     ///
     /// # Panics
@@ -265,7 +276,7 @@ impl<W> Engine<W> {
         );
         let seq = self.next_seq();
         let slot = self.alloc_slot(seq, Box::new(event));
-        self.heap.push(HeapEntry {
+        self.timers.push(HeapEntry {
             time: at,
             seq,
             slot,
@@ -334,6 +345,18 @@ impl<W> Engine<W> {
         self.run_inner(world, Some(deadline))
     }
 
+    /// The earlier `(time, seq)` of the two heap tops, and whether it is the
+    /// timer heap's.
+    fn peek_next(&self) -> Option<(HeapEntry, bool)> {
+        match (self.heap.peek(), self.timers.peek()) {
+            // `HeapEntry` orders inverted: the greater entry is due first.
+            (Some(&e), Some(&t)) => Some(if t > e { (t, true) } else { (e, false) }),
+            (Some(&e), None) => Some((e, false)),
+            (None, Some(&t)) => Some((t, true)),
+            (None, None) => None,
+        }
+    }
+
     fn run_inner(&mut self, world: &mut W, deadline: Option<SimTime>) -> SimTime {
         self.stopped = false;
         let cap = deadline.unwrap_or(SimTime::MAX);
@@ -344,24 +367,29 @@ impl<W> Engine<W> {
             if let Some(&(front_seq, _)) = self.fast.front() {
                 // Heap entries due at this same instant were scheduled
                 // earlier (smaller seq) iff they beat the FIFO front.
-                let heap_due_first = self
-                    .heap
-                    .peek()
-                    .is_some_and(|top| top.time == self.now && top.seq < front_seq);
-                if !heap_due_first {
+                let beats_front = |heap: &BinaryHeap<HeapEntry>| {
+                    heap.peek()
+                        .is_some_and(|top| top.time == self.now && top.seq < front_seq)
+                };
+                if !beats_front(&self.heap) && !beats_front(&self.timers) {
                     let (_, event) = self.fast.pop_front().expect("peeked front vanished");
                     self.live -= 1;
                     self.stats.events_fired += 1;
                     event(world, self);
                     continue;
                 }
-            } else if self.heap.peek().is_none() {
+            }
+            let Some((entry, is_timer)) = self.peek_next() else {
+                break;
+            };
+            if entry.time > cap {
                 break;
             }
-            if self.heap.peek().expect("heap non-empty here").time > cap {
-                break;
+            if is_timer {
+                self.timers.pop();
+            } else {
+                self.heap.pop();
             }
-            let entry = self.heap.pop().expect("peeked entry vanished");
             crate::draid_invariant!(
                 entry.time >= self.now,
                 "event queue went backwards: now={}, popped={}",
@@ -656,5 +684,47 @@ mod tests {
         }
         engine.run(&mut world);
         assert_eq!(engine.slab_slots(), 1000, "slab did not grow on reuse");
+    }
+
+    #[test]
+    fn canceled_timers_stay_out_of_the_plain_heap() {
+        let mut world = 0u32;
+        let mut engine: Engine<u32> = Engine::new();
+        let far = SimTime::from_millis(250);
+        let handles: Vec<TimerHandle> = (0..10_000)
+            .map(|_| engine.schedule_timer_at(far, |w, _| *w += 1))
+            .collect();
+        for h in handles {
+            assert!(engine.cancel(h));
+        }
+        assert!(engine.heap.is_empty(), "timers never enter the plain heap");
+        assert_eq!(engine.timers.len(), 10_000, "stale entries retire lazily");
+        engine.schedule_at(SimTime::from_micros(1), |w, _| *w += 1);
+        assert_eq!(engine.heap.len(), 1);
+        engine.run(&mut world);
+        assert_eq!(world, 1);
+        assert_eq!(engine.now(), far, "stale entries still advance the clock");
+        assert_eq!(engine.stats().events_fired, 10_001);
+    }
+
+    #[test]
+    fn stale_timer_retires_in_seq_order_beside_plain_event() {
+        // A canceled timer (seq 1), a plain event (seq 2) and a second
+        // canceled timer (seq 3), all due at 7 µs: the plain event must see
+        // exactly the first stale entry retired before it, not the second.
+        let mut fired_at_plain = 0u64;
+        let mut engine: Engine<u64> = Engine::new();
+        let t = SimTime::from_micros(7);
+        let before = engine.schedule_timer_at(t, |_, _| panic!("canceled"));
+        engine.schedule_at(t, |w: &mut u64, eng: &mut Engine<u64>| {
+            *w = eng.stats().events_fired;
+        });
+        let after = engine.schedule_timer_at(t, |_, _| panic!("canceled"));
+        assert!(engine.cancel(before));
+        assert!(engine.cancel(after));
+        engine.run(&mut fired_at_plain);
+        assert_eq!(fired_at_plain, 2, "stale seq 1, then the plain seq 2");
+        assert_eq!(engine.stats().events_fired, 3);
+        assert_eq!(engine.now(), t);
     }
 }

@@ -56,8 +56,11 @@ macro_rules! draid_invariant {
 #[cfg(test)]
 mod tests {
     #[test]
+    #[cfg_attr(
+        not(any(debug_assertions, feature = "strict-invariants")),
+        ignore = "invariants are compiled out of this build"
+    )]
     fn invariants_live_under_test() {
-        // Tests always build with debug_assertions in this workspace.
         assert!(crate::invariants_enabled());
     }
 
@@ -68,12 +71,20 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        not(any(debug_assertions, feature = "strict-invariants")),
+        ignore = "invariants are compiled out of this build"
+    )]
     #[should_panic(expected = "invariant violated")]
     fn failing_invariant_panics() {
         draid_invariant!(1 + 1 == 3);
     }
 
     #[test]
+    #[cfg_attr(
+        not(any(debug_assertions, feature = "strict-invariants")),
+        ignore = "invariants are compiled out of this build"
+    )]
     #[should_panic(expected = "custom message 7")]
     fn failing_invariant_formats_message() {
         draid_invariant!(false, "custom message {}", 7);

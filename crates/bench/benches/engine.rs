@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use draid_core::reducer::water_fill;
-use draid_net::{FabricBuilder, NicSpec};
+use draid_net::{Fabric, NicSpec};
 use draid_sim::{ByteRate, Engine, RateResource, SimTime};
 
 fn bench_engine_events(c: &mut Criterion) {
@@ -96,14 +96,15 @@ fn bench_resources(c: &mut Criterion) {
     });
     g.bench_function("fabric_10k_transfers", |b| {
         b.iter(|| {
-            let mut fb = FabricBuilder::new();
-            let a = fb.add_node("a", vec![NicSpec::cx5_100g()]);
-            let z = fb.add_node("z", vec![NicSpec::cx5_100g()]);
-            let mut fabric = fb.build();
-            let conn = fabric.connect(a, z);
+            let mut fabric = Fabric::new();
+            let a = fabric.add_node("a", NicSpec::cx5_100g());
+            let z = fabric.add_node("z", NicSpec::cx5_100g());
             let mut t = SimTime::ZERO;
             for _ in 0..10_000 {
-                t = fabric.transfer(t, conn, 128 * 1024).end;
+                t = fabric
+                    .try_transfer(t, a, z, 128 * 1024)
+                    .expect("links are up")
+                    .end;
             }
             black_box(t)
         })

@@ -94,14 +94,14 @@ pub fn build_array(scenario: &Scenario) -> ArraySim {
 pub fn build_hetero_array(scenario: &Scenario, slow: usize) -> ArraySim {
     assert!(slow <= scenario.width, "more slow nodes than members");
     let mut b = ClusterBuilder::new();
-    b.host(vec![NicSpec::cx5_100g()], CpuSpec::default());
+    b.host(NicSpec::cx5_100g(), CpuSpec::default());
     for i in 0..scenario.width {
         let nic = if i >= scenario.width - slow {
             NicSpec::cx5_25g()
         } else {
             NicSpec::cx5_100g()
         };
-        b.server(vec![nic], DriveSpec::default(), CpuSpec::default());
+        b.server(nic, DriveSpec::default(), CpuSpec::default());
     }
     finish(b.build(), scenario)
 }

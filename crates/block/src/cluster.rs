@@ -1,25 +1,19 @@
 //! Cluster assembly: a host plus storage servers on a fabric.
 
-use std::collections::HashMap;
-
-use draid_net::{ConnId, Fabric, FabricBuilder, LinkDir, NicSpec, NodeId};
+use draid_net::{Fabric, LinkDir, LinkError, NicSpec, NodeId};
 use draid_sim::{Service, SimTime};
 
 use crate::{Cpu, CpuSpec, Drive, DriveError, DriveSpec};
 
 /// Identifies a storage server (and its drive) within a cluster; dense from
-/// zero, independent of fabric [`NodeId`]s.
+/// zero. Server `i` lives on fabric node `i + 1` (the host is node 0).
 #[derive(
     Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
 )]
 pub struct ServerId(pub usize);
 
-#[derive(Debug)]
-struct Server {
-    node: NodeId,
-    drive: Drive,
-    cpu: Cpu,
-}
+/// The host's fabric node: [`ClusterBuilder::build`] adds it first.
+const HOST: NodeId = NodeId(0);
 
 /// Builder for a [`Cluster`].
 ///
@@ -28,18 +22,17 @@ struct Server {
 /// use draid_net::NicSpec;
 ///
 /// let mut b = ClusterBuilder::new();
-/// b.host(vec![NicSpec::cx5_100g()], CpuSpec::spdk_core());
+/// b.host(NicSpec::cx5_100g(), CpuSpec::spdk_core());
 /// for _ in 0..4 {
-///     b.server(vec![NicSpec::cx5_100g()], DriveSpec::default(), CpuSpec::spdk_core());
+///     b.server(NicSpec::cx5_100g(), DriveSpec::default(), CpuSpec::spdk_core());
 /// }
 /// let cluster = b.build();
 /// assert_eq!(cluster.width(), 4);
 /// ```
 #[derive(Debug, Default)]
 pub struct ClusterBuilder {
-    host: Option<(Vec<NicSpec>, CpuSpec)>,
-    servers: Vec<(Vec<NicSpec>, DriveSpec, CpuSpec)>,
-    racks: Option<(NicSpec, NicSpec)>,
+    host: Option<(NicSpec, CpuSpec)>,
+    servers: Vec<(NicSpec, DriveSpec, CpuSpec)>,
 }
 
 impl ClusterBuilder {
@@ -49,91 +42,57 @@ impl ClusterBuilder {
     }
 
     /// Configures the host (the node where the virtual RAID device attaches).
-    pub fn host(&mut self, nics: Vec<NicSpec>, cpu: CpuSpec) -> &mut Self {
-        self.host = Some((nics, cpu));
-        self
-    }
-
-    /// Places the host in a compute rack and every server in a storage rack,
-    /// joined through core uplinks of the given capacities — the
-    /// oversubscribed two-tier topology of real disaggregated deployments.
-    /// Host ↔ server traffic crosses the core; server ↔ server traffic
-    /// (dRAID's partial parities) stays inside the storage rack.
-    pub fn two_tier(&mut self, compute_uplink: NicSpec, storage_uplink: NicSpec) -> &mut Self {
-        self.racks = Some((compute_uplink, storage_uplink));
+    pub fn host(&mut self, nic: NicSpec, cpu: CpuSpec) -> &mut Self {
+        self.host = Some((nic, cpu));
         self
     }
 
     /// Adds a storage server; returns its [`ServerId`].
-    pub fn server(&mut self, nics: Vec<NicSpec>, drive: DriveSpec, cpu: CpuSpec) -> ServerId {
-        self.servers.push((nics, drive, cpu));
+    pub fn server(&mut self, nic: NicSpec, drive: DriveSpec, cpu: CpuSpec) -> ServerId {
+        self.servers.push((nic, drive, cpu));
         ServerId(self.servers.len() - 1)
     }
 
-    /// Builds the cluster and wires the full connection mesh: host ↔ every
-    /// server plus every server pair (dRAID's server-side controllers connect
-    /// to all other storage servers, §8).
+    /// Builds the cluster: the host on fabric node 0, then each server in
+    /// [`ServerId`] order. Every node can message every other (dRAID's
+    /// server-side controllers talk to all other storage servers, §8).
     ///
     /// # Panics
     ///
     /// Panics unless a host and at least two servers were configured.
     pub fn build(self) -> Cluster {
-        let (host_nics, host_cpu) = self.host.expect("cluster needs a host");
+        let (host_nic, host_cpu) = self.host.expect("cluster needs a host");
         assert!(
             self.servers.len() >= 2,
             "a RAID array needs at least two members"
         );
-        let mut fb = FabricBuilder::new();
-        let rack_ids = self
-            .racks
-            .map(|(compute, storage)| (fb.add_rack(compute), fb.add_rack(storage)));
-        let host_node = match rack_ids {
-            Some((compute, _)) => fb.add_node_in_rack("host", host_nics, compute),
-            None => fb.add_node("host", host_nics),
-        };
-        let mut servers = Vec::with_capacity(self.servers.len());
-        for (i, (nics, drive, cpu)) in self.servers.into_iter().enumerate() {
-            let node = match rack_ids {
-                Some((_, storage)) => fb.add_node_in_rack(format!("server{i}"), nics, storage),
-                None => fb.add_node(format!("server{i}"), nics),
-            };
-            servers.push(Server {
-                node,
-                drive: Drive::new(drive),
-                cpu: Cpu::new(cpu),
-            });
-        }
-        let mut fabric = fb.build();
-        let mut conns = HashMap::new();
-        let nodes: Vec<NodeId> = std::iter::once(host_node)
-            .chain(servers.iter().map(|s| s.node))
-            .collect();
-        for &a in &nodes {
-            for &b in &nodes {
-                if a != b {
-                    conns.insert((a, b), fabric.connect(a, b));
-                }
-            }
+        let mut fabric = Fabric::new();
+        fabric.add_node("host", host_nic);
+        let mut cpus = vec![Cpu::new(host_cpu)];
+        let mut drives = Vec::with_capacity(self.servers.len());
+        for (i, (nic, drive, cpu)) in self.servers.into_iter().enumerate() {
+            fabric.add_node(format!("server{i}"), nic);
+            drives.push(Drive::new(drive));
+            cpus.push(Cpu::new(cpu));
         }
         Cluster {
             fabric,
-            host_node,
-            host_cpu: Cpu::new(host_cpu),
-            servers,
-            conns,
+            drives,
+            cpus,
         }
     }
 }
 
-/// A simulated storage cluster: one host, `width` storage servers, and the
-/// full RDMA-RC connection mesh between them.
+/// A simulated storage cluster: one host and `width` storage servers on one
+/// fabric, each node with one NIC and one CPU core, each server with one
+/// drive.
 #[derive(Debug)]
 pub struct Cluster {
     fabric: Fabric,
-    host_node: NodeId,
-    host_cpu: Cpu,
-    servers: Vec<Server>,
-    conns: HashMap<(NodeId, NodeId), ConnId>,
+    /// Indexed by [`ServerId`].
+    drives: Vec<Drive>,
+    /// Indexed by [`NodeId`]: the host's core first, then each server's.
+    cpus: Vec<Cpu>,
 }
 
 impl Cluster {
@@ -145,10 +104,10 @@ impl Cluster {
     /// Panics if `width < 2`.
     pub fn homogeneous(width: usize) -> Cluster {
         let mut b = ClusterBuilder::new();
-        b.host(vec![NicSpec::cx5_100g()], CpuSpec::default());
+        b.host(NicSpec::cx5_100g(), CpuSpec::default());
         for _ in 0..width {
             b.server(
-                vec![NicSpec::cx5_100g()],
+                NicSpec::cx5_100g(),
                 DriveSpec::default(),
                 CpuSpec::default(),
             );
@@ -158,63 +117,38 @@ impl Cluster {
 
     /// Number of storage servers (the RAID stripe width).
     pub fn width(&self) -> usize {
-        self.servers.len()
+        self.drives.len()
     }
 
     /// The host's fabric node.
     pub fn host_node(&self) -> NodeId {
-        self.host_node
+        HOST
     }
 
     /// A server's fabric node.
     pub fn server_node(&self, server: ServerId) -> NodeId {
-        self.servers[server.0].node
+        assert!(server.0 < self.drives.len(), "unknown server {server:?}");
+        NodeId(server.0 + 1)
     }
 
-    /// Reverse lookup from a fabric node to the server living on it.
-    pub fn server_at(&self, node: NodeId) -> Option<ServerId> {
-        self.servers
-            .iter()
-            .position(|s| s.node == node)
-            .map(ServerId)
-    }
-
-    /// Sends `bytes` between two fabric nodes over the pre-established
-    /// connection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pair has no connection (i.e. `from == to`).
-    pub fn transfer(&mut self, now: SimTime, from: NodeId, to: NodeId, bytes: u64) -> Service {
-        let conn = *self
-            .conns
-            .get(&(from, to))
-            .unwrap_or_else(|| panic!("no connection {from:?} -> {to:?}"));
-        self.fabric.transfer(now, conn, bytes)
-    }
-
-    /// Fault-aware [`Cluster::transfer`]: fails fast with the refusing node
-    /// when either endpoint's link is down (network fault injection).
+    /// Sends `bytes` between two fabric nodes; fails fast with the refusing
+    /// node when either endpoint's link is down (network fault injection).
     ///
     /// # Errors
     ///
-    /// [`draid_net::LinkError`] naming the endpoint whose link is down.
+    /// [`LinkError`] naming the endpoint whose link is down.
     ///
     /// # Panics
     ///
-    /// Panics if the pair has no connection (i.e. `from == to`).
+    /// Panics if `from == to` (loopback does not cross the fabric).
     pub fn try_transfer(
         &mut self,
         now: SimTime,
         from: NodeId,
         to: NodeId,
         bytes: u64,
-    ) -> Result<Service, draid_net::LinkError> {
-        let conn = *self
-            .conns
-            .get(&(from, to))
-            .unwrap_or_else(|| panic!("no connection {from:?} -> {to:?}"));
-        self.fabric.try_transfer(now, conn, bytes)
+    ) -> Result<Service, LinkError> {
+        self.fabric.try_transfer(now, from, to, bytes)
     }
 
     /// Queues a read on a server's drive.
@@ -228,7 +162,7 @@ impl Cluster {
         server: ServerId,
         bytes: u64,
     ) -> Result<Service, DriveError> {
-        self.servers[server.0].drive.read(now, bytes)
+        self.drives[server.0].read(now, bytes)
     }
 
     /// Queues a write on a server's drive.
@@ -242,7 +176,7 @@ impl Cluster {
         server: ServerId,
         bytes: u64,
     ) -> Result<Service, DriveError> {
-        self.servers[server.0].drive.write(now, bytes)
+        self.drives[server.0].write(now, bytes)
     }
 
     /// The CPU core of a fabric node (host or server).
@@ -251,40 +185,26 @@ impl Cluster {
     ///
     /// Panics if `node` is not part of this cluster.
     pub fn cpu_mut(&mut self, node: NodeId) -> &mut Cpu {
-        if node == self.host_node {
-            &mut self.host_cpu
-        } else {
-            let s = self
-                .servers
-                .iter_mut()
-                .find(|s| s.node == node)
-                .expect("unknown node");
-            &mut s.cpu
-        }
+        &mut self.cpus[node.0]
     }
 
     /// Immutable access to a node's CPU.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not part of this cluster.
     pub fn cpu(&self, node: NodeId) -> &Cpu {
-        if node == self.host_node {
-            &self.host_cpu
-        } else {
-            &self
-                .servers
-                .iter()
-                .find(|s| s.node == node)
-                .expect("unknown node")
-                .cpu
-        }
+        &self.cpus[node.0]
     }
 
     /// Immutable access to a server's drive.
     pub fn drive(&self, server: ServerId) -> &Drive {
-        &self.servers[server.0].drive
+        &self.drives[server.0]
     }
 
     /// Mutable access to a server's drive (failure injection).
     pub fn drive_mut(&mut self, server: ServerId) -> &mut Drive {
-        &mut self.servers[server.0].drive
+        &mut self.drives[server.0]
     }
 
     /// The underlying fabric (traffic accounting, backlog probes).
@@ -306,8 +226,8 @@ impl Cluster {
     /// Panics when any ledger does not balance.
     pub fn audit_conservation(&self) {
         self.fabric.audit_conservation();
-        for s in &self.servers {
-            s.drive.audit_conservation();
+        for drive in &self.drives {
+            drive.audit_conservation();
         }
     }
 
@@ -316,10 +236,11 @@ impl Cluster {
     /// its time-prorated in-window share on every resource.
     pub fn reset_counters(&mut self, now: SimTime) {
         self.fabric.reset_counters(now);
-        self.host_cpu.reset_counters(now);
-        for s in &mut self.servers {
-            s.drive.reset_counters(now);
-            s.cpu.reset_counters(now);
+        for cpu in &mut self.cpus {
+            cpu.reset_counters(now);
+        }
+        for drive in &mut self.drives {
+            drive.reset_counters(now);
         }
     }
 
@@ -330,11 +251,9 @@ impl Cluster {
     /// `cpu:<node>`. Call at fixed bucket boundaries to build the
     /// observability plane's utilization timeline.
     pub fn sample_busy(&self, timeline: &mut draid_sim::UtilizationTimeline, at: SimTime) {
-        let mut nodes = vec![(self.host_node, None)];
-        for s in &self.servers {
-            nodes.push((s.node, Some(&s.drive)));
-        }
-        for (node, drive) in nodes {
+        let drives = std::iter::once(None).chain(self.drives.iter().map(Some));
+        for (i, drive) in drives.enumerate() {
+            let node = NodeId(i);
             let name = self.fabric.node_name(node);
             timeline.observe(
                 &format!("net:{name}:egress"),
@@ -366,12 +285,12 @@ mod tests {
         // Host to each server and server-to-server transfers all work.
         for i in 0..4 {
             let node = c.server_node(ServerId(i));
-            c.transfer(SimTime::ZERO, host, node, 4096);
-            c.transfer(SimTime::ZERO, node, host, 4096);
+            c.try_transfer(SimTime::ZERO, host, node, 4096).unwrap();
+            c.try_transfer(SimTime::ZERO, node, host, 4096).unwrap();
             for j in 0..4 {
                 if i != j {
                     let peer = c.server_node(ServerId(j));
-                    c.transfer(SimTime::ZERO, node, peer, 512);
+                    c.try_transfer(SimTime::ZERO, node, peer, 512).unwrap();
                 }
             }
         }
@@ -379,13 +298,24 @@ mod tests {
     }
 
     #[test]
-    fn server_lookup_roundtrip() {
-        let c = Cluster::homogeneous(3);
+    fn cpus_are_indexed_by_node() {
+        // Every core gets a distinct per-I/O cost, so reading the host's
+        // spec for a server (or a neighbour's) is caught.
+        let spec = |us| CpuSpec {
+            per_io: SimTime::from_micros(us),
+            ..CpuSpec::default()
+        };
+        let mut b = ClusterBuilder::new();
+        b.host(NicSpec::cx5_100g(), spec(100));
+        for i in 0..3 {
+            b.server(NicSpec::cx5_100g(), DriveSpec::default(), spec(i + 1));
+        }
+        let c = b.build();
+        assert_eq!(*c.cpu(c.host_node()).spec(), spec(100));
         for i in 0..3 {
             let node = c.server_node(ServerId(i));
-            assert_eq!(c.server_at(node), Some(ServerId(i)));
+            assert_eq!(*c.cpu(node).spec(), spec(i as u64 + 1), "server {i}");
         }
-        assert_eq!(c.server_at(c.host_node()), None);
     }
 
     #[test]
@@ -415,7 +345,7 @@ mod tests {
         let mut c = Cluster::homogeneous(3);
         let host = c.host_node();
         let n0 = c.server_node(ServerId(0));
-        c.transfer(SimTime::ZERO, host, n0, 1 << 16);
+        c.try_transfer(SimTime::ZERO, host, n0, 1 << 16).unwrap();
         c.drive_mut(ServerId(1)).fail_permanently();
         assert!(c.drive_write(SimTime::ZERO, ServerId(1), 4096).is_err());
         c.drive_write(SimTime::ZERO, ServerId(0), 4096).unwrap();
@@ -428,7 +358,7 @@ mod tests {
         let mut c = Cluster::homogeneous(2);
         let host = c.host_node();
         let n0 = c.server_node(ServerId(0));
-        c.transfer(SimTime::ZERO, host, n0, 1 << 20);
+        c.try_transfer(SimTime::ZERO, host, n0, 1 << 20).unwrap();
         c.drive_write(SimTime::ZERO, ServerId(0), 1 << 20).unwrap();
         c.reset_counters(SimTime::from_secs(1));
         assert_eq!(c.fabric().bytes_sent(host), 0);
@@ -442,7 +372,7 @@ mod tests {
         let n0 = c.server_node(ServerId(0));
         let mut tl = draid_sim::UtilizationTimeline::new(SimTime::ZERO);
         c.sample_busy(&mut tl, SimTime::ZERO);
-        c.transfer(SimTime::ZERO, host, n0, 1 << 20);
+        c.try_transfer(SimTime::ZERO, host, n0, 1 << 20).unwrap();
         c.drive_write(SimTime::ZERO, ServerId(0), 1 << 20).unwrap();
         c.sample_busy(&mut tl, SimTime::from_millis(1));
         let names: Vec<&str> = tl.names().collect();
@@ -461,45 +391,12 @@ mod tests {
     #[should_panic(expected = "at least two")]
     fn single_member_rejected() {
         let mut b = ClusterBuilder::new();
-        b.host(vec![NicSpec::cx5_100g()], CpuSpec::default());
+        b.host(NicSpec::cx5_100g(), CpuSpec::default());
         b.server(
-            vec![NicSpec::cx5_100g()],
+            NicSpec::cx5_100g(),
             DriveSpec::default(),
             CpuSpec::default(),
         );
         b.build();
-    }
-}
-
-#[cfg(test)]
-mod rack_tests {
-    use super::*;
-
-    #[test]
-    fn two_tier_cluster_routes_host_traffic_through_core() {
-        let mut b = ClusterBuilder::new();
-        // Storage rack uplink much slower than the NICs.
-        b.two_tier(
-            NicSpec::with_goodput_gbps(8.0),
-            NicSpec::with_goodput_gbps(1.0),
-        );
-        b.host(vec![NicSpec::with_goodput_gbps(8.0)], CpuSpec::default());
-        for _ in 0..3 {
-            b.server(
-                vec![NicSpec::with_goodput_gbps(8.0)],
-                DriveSpec::default(),
-                CpuSpec::default(),
-            );
-        }
-        let mut c = b.build();
-        let host = c.host_node();
-        let s0 = c.server_node(ServerId(0));
-        let s1 = c.server_node(ServerId(1));
-        // Server-to-server stays rack-local: ~1 ms for 1 MB at 1 GB/s NICs.
-        let local = c.transfer(SimTime::ZERO, s0, s1, 1_000_000);
-        assert!(local.end < SimTime::from_millis(2), "local: {}", local.end);
-        // Host-to-server crosses the 1 Gbps storage downlink: ~8 ms.
-        let cross = c.transfer(SimTime::ZERO, host, s0, 1_000_000);
-        assert!(cross.end > SimTime::from_millis(8), "cross: {}", cross.end);
     }
 }

@@ -13,8 +13,8 @@
 //! * [`CpuSpec`] / [`Cpu`] — a polling core with byte-rate costs for XOR and
 //!   GF(256) work (ISA-L-class throughput) and a fixed per-I/O software cost.
 //! * [`Cluster`] / [`ClusterBuilder`] — a host plus storage servers on a
-//!   [`draid_net::Fabric`], with the full connection mesh dRAID needs
-//!   (host ↔ every server, server ↔ server pairs, §3).
+//!   [`draid_net::Fabric`], one NIC and one core per node; any node can
+//!   message any other (host ↔ every server, server ↔ server, §3).
 //!
 //! ## Example
 //!

@@ -1,4 +1,4 @@
-//! The fabric: nodes, NICs, connections, transfers.
+//! The fabric: nodes, their NICs, transfers.
 
 use draid_sim::{RateResource, Service, SimTime};
 
@@ -9,14 +9,6 @@ use crate::NicSpec;
     Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
 )]
 pub struct NodeId(pub usize);
-
-/// Identifies a NIC in the fabric (global index).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NicId(pub usize);
-
-/// Identifies an established connection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ConnId(pub usize);
 
 /// Direction of traffic through a NIC, from the NIC owner's point of view.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,304 +82,143 @@ struct DirLedger {
 
 #[derive(Debug)]
 struct Nic {
+    name: String,
     spec: NicSpec,
     egress: RateResource,
     ingress: RateResource,
-    connections: usize,
     egress_link: LinkState,
     ingress_link: LinkState,
     egress_ledger: DirLedger,
     ingress_ledger: DirLedger,
 }
 
-#[derive(Debug)]
-struct Node {
-    name: String,
-    nics: Vec<usize>,
-    rack: Option<usize>,
+impl Nic {
+    fn ledger(&self, dir: LinkDir) -> &DirLedger {
+        match dir {
+            LinkDir::Egress => &self.egress_ledger,
+            LinkDir::Ingress => &self.ingress_ledger,
+        }
+    }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Connection {
-    from_node: NodeId,
-    to_node: NodeId,
-    from_nic: usize,
-    to_nic: usize,
-}
-
-/// Builder for a [`Fabric`].
+/// The simulated datacenter network: one NIC per node, indexed by
+/// [`NodeId`]. See the crate docs for the model.
 #[derive(Debug, Default)]
-pub struct FabricBuilder {
-    nodes: Vec<Node>,
+pub struct Fabric {
     nics: Vec<Nic>,
-    racks: Vec<RackSpec>,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct RackSpec {
-    uplink: crate::NicSpec,
-}
-
-#[derive(Debug)]
-struct Rack {
-    up: RateResource,
-    down: RateResource,
-    spec: crate::NicSpec,
-}
-
-impl FabricBuilder {
-    /// Creates an empty builder.
+impl Fabric {
+    /// Creates an empty fabric.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Adds a node with the given NICs and returns its id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nics` is empty — every server in the testbed has a NIC.
-    pub fn add_node(&mut self, name: impl Into<String>, nics: Vec<NicSpec>) -> NodeId {
-        self.add_node_inner(name, nics, None)
-    }
-
-    /// Declares a rack whose uplink to the core has the given capacity
-    /// (model an `f:1` oversubscription of `n` nodes with `rate = n·nic/f`).
-    /// Returns the rack id for [`FabricBuilder::add_node_in_rack`].
-    pub fn add_rack(&mut self, uplink: NicSpec) -> usize {
-        self.racks.push(RackSpec { uplink });
-        self.racks.len() - 1
-    }
-
-    /// Adds a node behind a rack switch: transfers leaving or entering the
-    /// rack additionally traverse the rack's uplink/downlink.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rack` was not declared or `nics` is empty.
-    pub fn add_node_in_rack(
-        &mut self,
-        name: impl Into<String>,
-        nics: Vec<NicSpec>,
-        rack: usize,
-    ) -> NodeId {
-        assert!(rack < self.racks.len(), "undeclared rack {rack}");
-        self.add_node_inner(name, nics, Some(rack))
-    }
-
-    fn add_node_inner(
-        &mut self,
-        name: impl Into<String>,
-        nics: Vec<NicSpec>,
-        rack: Option<usize>,
-    ) -> NodeId {
-        assert!(!nics.is_empty(), "a node needs at least one NIC");
-        let id = NodeId(self.nodes.len());
-        let mut indices = Vec::with_capacity(nics.len());
-        for spec in nics {
-            indices.push(self.nics.len());
-            self.nics.push(Nic {
-                spec,
-                egress: RateResource::new(spec.rate),
-                ingress: RateResource::new(spec.rate),
-                connections: 0,
-                egress_link: LinkState::default(),
-                ingress_link: LinkState::default(),
-                egress_ledger: DirLedger::default(),
-                ingress_ledger: DirLedger::default(),
-            });
-        }
-        self.nodes.push(Node {
+    /// Adds a node with the given NIC and returns its id.
+    pub fn add_node(&mut self, name: impl Into<String>, spec: NicSpec) -> NodeId {
+        self.nics.push(Nic {
             name: name.into(),
-            nics: indices,
-            rack,
+            spec,
+            egress: RateResource::new(spec.rate),
+            ingress: RateResource::new(spec.rate),
+            egress_link: LinkState::default(),
+            ingress_link: LinkState::default(),
+            egress_ledger: DirLedger::default(),
+            ingress_ledger: DirLedger::default(),
         });
-        id
+        NodeId(self.nics.len() - 1)
     }
 
-    /// Finalizes the fabric.
-    pub fn build(self) -> Fabric {
-        Fabric {
-            nodes: self.nodes,
-            nics: self.nics,
-            racks: self
-                .racks
-                .into_iter()
-                .map(|r| Rack {
-                    up: RateResource::new(r.uplink.rate),
-                    down: RateResource::new(r.uplink.rate),
-                    spec: r.uplink,
-                })
-                .collect(),
-            connections: Vec::new(),
-        }
-    }
-}
-
-/// The simulated datacenter network. See the crate docs for the model.
-#[derive(Debug)]
-pub struct Fabric {
-    nodes: Vec<Node>,
-    nics: Vec<Nic>,
-    racks: Vec<Rack>,
-    connections: Vec<Connection>,
-}
-
-impl Fabric {
     /// A node's human-readable name.
     pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.0].name
+        &self.nics[node.0].name
     }
 
-    /// Establishes an RC-style connection between two nodes, placing each end
-    /// on the least-connected NIC of its node (§5.5: "new connections are
-    /// created on the least used NIC for load balancing").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from == to` (loopback does not cross the fabric) or either
-    /// id is out of range.
-    pub fn connect(&mut self, from: NodeId, to: NodeId) -> ConnId {
-        assert_ne!(from, to, "loopback connections are not modelled");
-        let from_nic = self.least_connected_nic(from);
-        let to_nic = self.least_connected_nic(to);
-        self.nics[from_nic].connections += 1;
-        self.nics[to_nic].connections += 1;
-        let id = ConnId(self.connections.len());
-        self.connections.push(Connection {
-            from_node: from,
-            to_node: to,
-            from_nic,
-            to_nic,
-        });
-        id
-    }
-
-    fn least_connected_nic(&self, node: NodeId) -> usize {
-        *self.nodes[node.0]
-            .nics
-            .iter()
-            .min_by_key(|&&n| self.nics[n].connections)
-            .expect("nodes have at least one NIC")
-    }
-
-    /// Sends `bytes` over `conn`. Returns the delivery window: `start` is
-    /// when the first byte left the sender, `end` is when the last byte
-    /// arrived at the receiver (the moment a completion event should fire).
+    /// Sends `bytes` from `from` to `to`. Returns the delivery window:
+    /// `start` is when the first byte left the sender, `end` is when the last
+    /// byte arrived at the receiver (the moment a completion event should
+    /// fire). Fails fast when the sender's egress link or the receiver's
+    /// ingress link is down, and serves at the degraded rate while a
+    /// degradation window is active.
     ///
     /// The model pipelines egress and ingress: the receiver starts taking the
     /// stream one propagation delay after the sender starts emitting, and
     /// each direction independently serializes at its own NIC rate, so the
     /// slower direction and any queueing on either side gate completion.
     ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint's link is down — use
-    /// [`Fabric::try_transfer`] when fault injection is in play.
-    pub fn transfer(&mut self, now: SimTime, conn: ConnId, bytes: u64) -> Service {
-        self.try_transfer(now, conn, bytes)
-            .unwrap_or_else(|e| panic!("transfer on a dead link: {e}"))
-    }
-
-    /// Fault-aware [`Fabric::transfer`]: fails fast when the sender's egress
-    /// link or the receiver's ingress link is down, and serves at the
-    /// degraded rate while a degradation window is active.
-    ///
     /// # Errors
     ///
     /// [`LinkError`] naming the endpoint whose link refused the transfer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from == to` (loopback does not cross the fabric) or either
+    /// id is out of range.
     pub fn try_transfer(
         &mut self,
         now: SimTime,
-        conn: ConnId,
+        from: NodeId,
+        to: NodeId,
         bytes: u64,
     ) -> Result<Service, LinkError> {
-        let c = self.connections[conn.0];
+        assert_ne!(from, to, "loopback transfers are not modelled");
         // Conservation ledger: the sender's egress direction is offered the
         // payload the moment the verb is posted; a refused transfer drops the
         // whole payload on that ledger (nothing ever reaches a rate server).
-        self.nics[c.from_nic].egress_ledger.offered += bytes;
-        if self.nics[c.from_nic].egress_link.is_down(now) {
-            self.nics[c.from_nic].egress_ledger.dropped += bytes;
-            return Err(LinkError { node: c.from_node });
+        self.nics[from.0].egress_ledger.offered += bytes;
+        if self.nics[from.0].egress_link.is_down(now) {
+            self.nics[from.0].egress_ledger.dropped += bytes;
+            return Err(LinkError { node: from });
         }
-        if self.nics[c.to_nic].ingress_link.is_down(now) {
-            self.nics[c.from_nic].egress_ledger.dropped += bytes;
-            return Err(LinkError { node: c.to_node });
+        if self.nics[to.0].ingress_link.is_down(now) {
+            self.nics[from.0].egress_ledger.dropped += bytes;
+            return Err(LinkError { node: to });
         }
-        let (eg_spec, in_spec) = (self.nics[c.from_nic].spec, self.nics[c.to_nic].spec);
-        let eg_rate = eg_spec
-            .rate
-            .scaled(self.nics[c.from_nic].egress_link.rate_factor(now));
-        let eg =
-            self.nics[c.from_nic]
-                .egress
-                .serve_with_setup(now, bytes, eg_spec.per_message, eg_rate);
-        let mut arrive = eg.start + eg_spec.per_message + eg_spec.propagation;
-        // Cross-rack traffic serializes through the source rack's uplink and
-        // the destination rack's downlink (the oversubscription model). The
-        // stream pipelines through every stage, so completion is gated by
-        // the slowest stage's finish, not their sum.
-        let mut stage_end = eg.end;
-        let (src_rack, dst_rack) = (self.nodes[c.from_node.0].rack, self.nodes[c.to_node.0].rack);
-        if src_rack != dst_rack {
-            if let Some(r) = src_rack {
-                let rack = &mut self.racks[r];
-                let svc = rack.up.serve_at_rate(arrive, bytes.max(1), rack.spec.rate);
-                arrive = svc.start + rack.spec.propagation;
-                stage_end = stage_end.max(svc.end);
-            }
-            if let Some(r) = dst_rack {
-                let rack = &mut self.racks[r];
-                let svc = rack
-                    .down
-                    .serve_at_rate(arrive, bytes.max(1), rack.spec.rate);
-                arrive = svc.start + rack.spec.propagation;
-                stage_end = stage_end.max(svc.end);
-            }
-        }
-        let in_rate = in_spec
-            .rate
-            .scaled(self.nics[c.to_nic].ingress_link.rate_factor(arrive));
-        self.nics[c.to_nic].ingress_ledger.offered += bytes.max(1);
-        let ing = self.nics[c.to_nic]
-            .ingress
-            .serve_at_rate(arrive, bytes.max(1), in_rate);
+        let src = &mut self.nics[from.0];
+        let eg_spec = src.spec;
+        let eg_rate = eg_spec.rate.scaled(src.egress_link.rate_factor(now));
+        let eg = src
+            .egress
+            .serve_with_setup(now, bytes, eg_spec.per_message, eg_rate);
+        let arrive = eg.start + eg_spec.per_message + eg_spec.propagation;
+        let dst = &mut self.nics[to.0];
+        let in_rate = dst.spec.rate.scaled(dst.ingress_link.rate_factor(arrive));
+        dst.ingress_ledger.offered += bytes.max(1);
+        let ing = dst.ingress.serve_at_rate(arrive, bytes.max(1), in_rate);
         Ok(Service {
             start: eg.start,
-            end: ing.end.max(stage_end),
+            end: ing.end.max(eg.end),
         })
     }
 
-    /// Takes every NIC of `node` administratively down, both directions:
+    /// Takes a node's link administratively down, both directions:
     /// transfers touching it fail until [`Fabric::set_link_up`].
     pub fn set_link_down(&mut self, node: NodeId) {
         self.for_each_link(node, |l| l.admin_down = true);
     }
 
-    /// Restores a node's links after [`Fabric::set_link_down`]. Scheduled
+    /// Restores a node's link after [`Fabric::set_link_down`]. Scheduled
     /// flap windows are unaffected.
     pub fn set_link_up(&mut self, node: NodeId) {
         self.for_each_link(node, |l| l.admin_down = false);
     }
 
-    /// Whether any of a node's links refuses traffic in `dir` at `now`.
+    /// Whether a node's link refuses traffic in `dir` at `now`.
     pub fn link_down(&self, node: NodeId, dir: LinkDir, now: SimTime) -> bool {
-        self.nodes[node.0].nics.iter().any(|&n| {
-            let nic = &self.nics[n];
-            match dir {
-                LinkDir::Egress => nic.egress_link.is_down(now),
-                LinkDir::Ingress => nic.ingress_link.is_down(now),
-            }
-        })
+        let nic = &self.nics[node.0];
+        match dir {
+            LinkDir::Egress => nic.egress_link.is_down(now),
+            LinkDir::Ingress => nic.ingress_link.is_down(now),
+        }
     }
 
-    /// Schedules an outage window `[from, until)` on every NIC of `node`,
-    /// both directions — the building block of link-flap injection.
+    /// Schedules an outage window `[from, until)` on a node's link, both
+    /// directions — the building block of link-flap injection.
     pub fn schedule_link_down(&mut self, node: NodeId, from: SimTime, until: SimTime) {
         self.for_each_link(node, |l| l.down_windows.push((from, until)));
     }
 
-    /// Schedules `cycles` down/up flaps on a node's links: down for
+    /// Schedules `cycles` down/up flaps on a node's link: down for
     /// `down_for` starting at `start`, up for `up_for`, repeating.
     pub fn flap_link(
         &mut self,
@@ -404,7 +235,7 @@ impl Fabric {
         }
     }
 
-    /// Degrades one direction of a node's links to `factor` of nominal rate
+    /// Degrades one direction of a node's link to `factor` of nominal rate
     /// during `[from, until)` — gray-failure injection (fail-slow NIC,
     /// congested uplink, mis-negotiated speed). Overlapping windows take the
     /// worst factor.
@@ -421,104 +252,66 @@ impl Fabric {
         until: SimTime,
     ) {
         assert!(factor > 0.0 && factor <= 1.0, "factor must be in (0, 1]");
-        for &n in &self.nodes[node.0].nics {
-            let nic = &mut self.nics[n];
-            let link = match dir {
-                LinkDir::Egress => &mut nic.egress_link,
-                LinkDir::Ingress => &mut nic.ingress_link,
-            };
-            link.degraded.push((from, until, factor));
-        }
+        let nic = &mut self.nics[node.0];
+        let link = match dir {
+            LinkDir::Egress => &mut nic.egress_link,
+            LinkDir::Ingress => &mut nic.ingress_link,
+        };
+        link.degraded.push((from, until, factor));
     }
 
     fn for_each_link(&mut self, node: NodeId, mut f: impl FnMut(&mut LinkState)) {
-        for &n in &self.nodes[node.0].nics {
-            f(&mut self.nics[n].egress_link);
-            f(&mut self.nics[n].ingress_link);
-        }
+        let nic = &mut self.nics[node.0];
+        f(&mut nic.egress_link);
+        f(&mut nic.ingress_link);
     }
 
-    /// Total bytes a node has sent (across all its NICs).
+    /// Total bytes a node has sent.
     pub fn bytes_sent(&self, node: NodeId) -> u64 {
-        self.nodes[node.0]
-            .nics
-            .iter()
-            .map(|&n| self.nics[n].egress.bytes_served())
-            .sum()
+        self.nics[node.0].egress.bytes_served()
     }
 
-    /// Total bytes a node has received (across all its NICs).
+    /// Total bytes a node has received.
     pub fn bytes_received(&self, node: NodeId) -> u64 {
-        self.nodes[node.0]
-            .nics
-            .iter()
-            .map(|&n| self.nics[n].ingress.bytes_served())
-            .sum()
+        self.nics[node.0].ingress.bytes_served()
     }
 
-    /// Aggregate NIC goodput available to a node, per direction.
+    /// NIC goodput available to a node, per direction.
     pub fn node_rate(&self, node: NodeId) -> draid_sim::ByteRate {
-        draid_sim::ByteRate::from_bytes_per_sec(
-            self.nodes[node.0]
-                .nics
-                .iter()
-                .map(|&n| self.nics[n].spec.rate.bytes_per_sec())
-                .sum(),
-        )
+        self.nics[node.0].spec.rate
     }
 
-    /// Cumulative egress busy time across a node's NICs; sampling this over a
+    /// Cumulative egress busy time of a node's NIC; sampling this over a
     /// window yields the utilization estimate the bandwidth-aware reducer
     /// selection feeds on (§6.2).
     pub fn egress_busy(&self, node: NodeId) -> SimTime {
-        self.nodes[node.0]
-            .nics
-            .iter()
-            .map(|&n| self.nics[n].egress.busy_time())
-            .fold(SimTime::ZERO, |a, b| a + b)
+        self.nics[node.0].egress.busy_time()
     }
 
-    /// Elapsed busy time of a node's NICs by `at`, per direction — clamped to
+    /// Elapsed busy time of a node's NIC by `at`, per direction — clamped to
     /// the sample instant (service scheduled beyond `at` is excluded), so
     /// utilization derived from successive samples never exceeds 1.0. This is
     /// what the observability timeline samples; [`Fabric::egress_busy`] keeps
     /// reporting charged demand for the §6.2 reducer selection.
     pub fn busy_elapsed(&self, node: NodeId, dir: LinkDir, at: SimTime) -> SimTime {
-        self.nodes[node.0]
-            .nics
-            .iter()
-            .map(|&n| match dir {
-                LinkDir::Egress => self.nics[n].egress.busy_elapsed(at),
-                LinkDir::Ingress => self.nics[n].ingress.busy_elapsed(at),
-            })
-            .fold(SimTime::ZERO, |a, b| a + b)
+        let nic = &self.nics[node.0];
+        match dir {
+            LinkDir::Egress => nic.egress.busy_elapsed(at),
+            LinkDir::Ingress => nic.ingress.busy_elapsed(at),
+        }
     }
 
-    /// Bytes a node's links dropped by refusing transfers (fault injection),
+    /// Bytes a node's link dropped by refusing transfers (fault injection),
     /// per direction. With `LinkDir::Egress` this counts refusals blamed on
     /// either endpoint: the payload never left the sender, so it lands on the
     /// sender's egress ledger.
     pub fn bytes_dropped(&self, node: NodeId, dir: LinkDir) -> u64 {
-        self.nodes[node.0]
-            .nics
-            .iter()
-            .map(|&n| match dir {
-                LinkDir::Egress => self.nics[n].egress_ledger.dropped,
-                LinkDir::Ingress => self.nics[n].ingress_ledger.dropped,
-            })
-            .sum()
+        self.nics[node.0].ledger(dir).dropped
     }
 
-    /// Bytes offered to a node's links (served + dropped), per direction.
+    /// Bytes offered to a node's link (served + dropped), per direction.
     pub fn bytes_offered(&self, node: NodeId, dir: LinkDir) -> u64 {
-        self.nodes[node.0]
-            .nics
-            .iter()
-            .map(|&n| match dir {
-                LinkDir::Egress => self.nics[n].egress_ledger.offered,
-                LinkDir::Ingress => self.nics[n].ingress_ledger.offered,
-            })
-            .sum()
+        self.nics[node.0].ledger(dir).offered
     }
 
     /// Checks the byte-conservation invariant on every NIC direction:
@@ -552,12 +345,12 @@ impl Fabric {
         }
     }
 
-    /// Resets every NIC's and rack uplink's traffic counters at
-    /// measurement-window start `now` (between warm-up and measurement). A
-    /// transfer straddling the boundary keeps its in-window prorated share
-    /// (see [`RateResource::reset_counters`]); the direction ledgers are
-    /// re-seeded from the post-reset served bytes so `offered == served +
-    /// dropped` keeps holding across the boundary.
+    /// Resets every NIC's traffic counters at measurement-window start `now`
+    /// (between warm-up and measurement). A transfer straddling the boundary
+    /// keeps its in-window prorated share (see
+    /// [`RateResource::reset_counters`]); the direction ledgers are re-seeded
+    /// from the post-reset served bytes so `offered == served + dropped`
+    /// keeps holding across the boundary.
     pub fn reset_counters(&mut self, now: SimTime) {
         for nic in &mut self.nics {
             nic.egress.reset_counters(now);
@@ -571,46 +364,44 @@ impl Fabric {
                 dropped: 0,
             };
         }
-        for rack in &mut self.racks {
-            rack.up.reset_counters(now);
-            rack.down.reset_counters(now);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use draid_sim::ByteRate;
 
-    fn two_node_fabric(rate_gbps: f64) -> (Fabric, ConnId) {
-        let mut b = FabricBuilder::new();
-        let a = b.add_node("a", vec![NicSpec::with_goodput_gbps(rate_gbps)]);
-        let z = b.add_node("z", vec![NicSpec::with_goodput_gbps(rate_gbps)]);
-        let mut f = b.build();
-        let conn = f.connect(a, z);
-        (f, conn)
+    const A: NodeId = NodeId(0);
+    const Z: NodeId = NodeId(1);
+
+    fn two_node_fabric(rate_gbps: f64) -> Fabric {
+        let mut f = Fabric::new();
+        f.add_node("a", NicSpec::with_goodput_gbps(rate_gbps));
+        f.add_node("z", NicSpec::with_goodput_gbps(rate_gbps));
+        f
+    }
+
+    fn send(f: &mut Fabric, now: SimTime, from: NodeId, to: NodeId, bytes: u64) -> Service {
+        f.try_transfer(now, from, to, bytes).expect("links are up")
     }
 
     #[test]
     fn uncontended_transfer_latency() {
-        let (mut f, conn) = two_node_fabric(8.0); // 1 GB/s
-        let svc = f.transfer(SimTime::ZERO, conn, 1_000_000); // 1 MB -> 1 ms
-                                                              // per_message (0.5us) + propagation (2us) + serialization (1ms)
+        let mut f = two_node_fabric(8.0); // 1 GB/s
+                                          // 1 MB -> 1 ms: per_message (0.5us) + propagation (2us) +
+                                          // serialization (1ms).
+        let svc = send(&mut f, SimTime::ZERO, A, Z, 1_000_000);
         assert_eq!(svc.end, SimTime::from_nanos(1_000_000 + 2_500));
     }
 
     #[test]
     fn egress_is_the_shared_bottleneck() {
-        let mut b = FabricBuilder::new();
-        let host = b.add_node("host", vec![NicSpec::with_goodput_gbps(8.0)]);
-        let t1 = b.add_node("t1", vec![NicSpec::with_goodput_gbps(8.0)]);
-        let t2 = b.add_node("t2", vec![NicSpec::with_goodput_gbps(8.0)]);
-        let mut f = b.build();
-        let c1 = f.connect(host, t1);
-        let c2 = f.connect(host, t2);
-        let s1 = f.transfer(SimTime::ZERO, c1, 1_000_000);
-        let s2 = f.transfer(SimTime::ZERO, c2, 1_000_000);
+        let mut f = Fabric::new();
+        let host = f.add_node("host", NicSpec::with_goodput_gbps(8.0));
+        let t1 = f.add_node("t1", NicSpec::with_goodput_gbps(8.0));
+        let t2 = f.add_node("t2", NicSpec::with_goodput_gbps(8.0));
+        let s1 = send(&mut f, SimTime::ZERO, host, t1, 1_000_000);
+        let s2 = send(&mut f, SimTime::ZERO, host, t2, 1_000_000);
         // Second transfer queues behind the first on the host egress.
         assert!(s2.start >= s1.start + SimTime::from_millis(1));
         assert!(s2.end >= SimTime::from_millis(2));
@@ -618,15 +409,12 @@ mod tests {
 
     #[test]
     fn ingress_contention_gates_completion() {
-        let mut b = FabricBuilder::new();
-        let t1 = b.add_node("t1", vec![NicSpec::with_goodput_gbps(8.0)]);
-        let t2 = b.add_node("t2", vec![NicSpec::with_goodput_gbps(8.0)]);
-        let sink = b.add_node("sink", vec![NicSpec::with_goodput_gbps(8.0)]);
-        let mut f = b.build();
-        let c1 = f.connect(t1, sink);
-        let c2 = f.connect(t2, sink);
-        let s1 = f.transfer(SimTime::ZERO, c1, 1_000_000);
-        let s2 = f.transfer(SimTime::ZERO, c2, 1_000_000);
+        let mut f = Fabric::new();
+        let t1 = f.add_node("t1", NicSpec::with_goodput_gbps(8.0));
+        let t2 = f.add_node("t2", NicSpec::with_goodput_gbps(8.0));
+        let sink = f.add_node("sink", NicSpec::with_goodput_gbps(8.0));
+        let s1 = send(&mut f, SimTime::ZERO, t1, sink, 1_000_000);
+        let s2 = send(&mut f, SimTime::ZERO, t2, sink, 1_000_000);
         // Both leave their senders immediately but serialize into the sink.
         assert_eq!(s1.start, SimTime::ZERO);
         assert_eq!(s2.start, SimTime::ZERO);
@@ -635,12 +423,10 @@ mod tests {
 
     #[test]
     fn slow_receiver_gates_fast_sender() {
-        let mut b = FabricBuilder::new();
-        let fast = b.add_node("fast", vec![NicSpec::with_goodput_gbps(80.0)]);
-        let slow = b.add_node("slow", vec![NicSpec::with_goodput_gbps(8.0)]);
-        let mut f = b.build();
-        let c = f.connect(fast, slow);
-        let svc = f.transfer(SimTime::ZERO, c, 1_000_000);
+        let mut f = Fabric::new();
+        let fast = f.add_node("fast", NicSpec::with_goodput_gbps(80.0));
+        let slow = f.add_node("slow", NicSpec::with_goodput_gbps(8.0));
+        let svc = send(&mut f, SimTime::ZERO, fast, slow, 1_000_000);
         // Dominated by the 1 GB/s receiving side.
         assert!(svc.end >= SimTime::from_millis(1));
         assert!(svc.end < SimTime::from_nanos(1_100_000));
@@ -648,9 +434,9 @@ mod tests {
 
     #[test]
     fn traffic_accounting() {
-        let (mut f, conn) = two_node_fabric(92.0);
-        f.transfer(SimTime::ZERO, conn, 4096);
-        f.transfer(SimTime::ZERO, conn, 4096);
+        let mut f = two_node_fabric(92.0);
+        send(&mut f, SimTime::ZERO, A, Z, 4096);
+        send(&mut f, SimTime::ZERO, A, Z, 4096);
         assert_eq!(f.bytes_sent(NodeId(0)), 8192);
         assert_eq!(f.bytes_received(NodeId(1)), 8192);
         assert_eq!(f.bytes_sent(NodeId(1)), 0);
@@ -660,30 +446,30 @@ mod tests {
 
     #[test]
     fn admin_down_link_refuses_until_restored() {
-        let (mut f, conn) = two_node_fabric(8.0);
+        let mut f = two_node_fabric(8.0);
         f.set_link_down(NodeId(0));
-        let err = f.try_transfer(SimTime::ZERO, conn, 4096).unwrap_err();
+        let err = f.try_transfer(SimTime::ZERO, A, Z, 4096).unwrap_err();
         assert_eq!(err.node, NodeId(0), "blames the dead sender");
         assert!(f.link_down(NodeId(0), LinkDir::Egress, SimTime::ZERO));
         f.set_link_up(NodeId(0));
-        assert!(f.try_transfer(SimTime::ZERO, conn, 4096).is_ok());
+        assert!(f.try_transfer(SimTime::ZERO, A, Z, 4096).is_ok());
         // A dead receiver is blamed too.
         f.set_link_down(NodeId(1));
-        let err = f.try_transfer(SimTime::ZERO, conn, 4096).unwrap_err();
+        let err = f.try_transfer(SimTime::ZERO, A, Z, 4096).unwrap_err();
         assert_eq!(err.node, NodeId(1));
     }
 
     #[test]
     fn conservation_ledger_balances_under_faults() {
-        let (mut f, conn) = two_node_fabric(8.0);
-        f.transfer(SimTime::ZERO, conn, 4096);
+        let mut f = two_node_fabric(8.0);
+        send(&mut f, SimTime::ZERO, A, Z, 4096);
         f.set_link_down(NodeId(1));
-        assert!(f.try_transfer(SimTime::ZERO, conn, 1000).is_err());
+        assert!(f.try_transfer(SimTime::ZERO, A, Z, 1000).is_err());
         f.set_link_up(NodeId(1));
         f.set_link_down(NodeId(0));
-        assert!(f.try_transfer(SimTime::ZERO, conn, 500).is_err());
+        assert!(f.try_transfer(SimTime::ZERO, A, Z, 500).is_err());
         f.set_link_up(NodeId(0));
-        f.transfer(SimTime::from_millis(1), conn, 100);
+        send(&mut f, SimTime::from_millis(1), A, Z, 100);
         // offered = served + dropped on every direction.
         f.audit_conservation();
         assert_eq!(
@@ -700,7 +486,7 @@ mod tests {
 
         // A reset in the middle of an in-flight transfer keeps the ledger
         // balanced: the straddling portion stays attributed to the window.
-        f.transfer(SimTime::from_secs(2), conn, 1_000_000); // ~1 ms service
+        send(&mut f, SimTime::from_secs(2), A, Z, 1_000_000); // ~1 ms service
         f.reset_counters(SimTime::from_secs(2) + SimTime::from_micros(500));
         f.audit_conservation();
         let kept = f.bytes_offered(NodeId(0), LinkDir::Egress);
@@ -712,16 +498,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dead link")]
-    fn plain_transfer_panics_on_dead_link() {
-        let (mut f, conn) = two_node_fabric(8.0);
-        f.set_link_down(NodeId(1));
-        f.transfer(SimTime::ZERO, conn, 4096);
-    }
-
-    #[test]
     fn flap_windows_alternate_down_and_up() {
-        let (mut f, conn) = two_node_fabric(8.0);
+        let mut f = two_node_fabric(8.0);
         let ms = SimTime::from_millis;
         f.flap_link(NodeId(0), ms(1), ms(1), ms(2), 3);
         // Down windows: [1,2), [4,5), [7,8) ms.
@@ -740,13 +518,13 @@ mod tests {
                 down,
                 "at {t} ms"
             );
-            assert_eq!(f.try_transfer(ms(t), conn, 1).is_err(), down, "at {t} ms");
+            assert_eq!(f.try_transfer(ms(t), A, Z, 1).is_err(), down, "at {t} ms");
         }
     }
 
     #[test]
     fn degraded_window_halves_throughput_then_recovers() {
-        let (mut f, conn) = two_node_fabric(8.0); // 1 GB/s
+        let mut f = two_node_fabric(8.0); // 1 GB/s
         f.degrade_link(
             NodeId(0),
             LinkDir::Egress,
@@ -755,24 +533,22 @@ mod tests {
             SimTime::from_secs(1),
         );
         // 1 MB at the degraded 0.5 GB/s: ~2 ms instead of ~1 ms.
-        let svc = f.try_transfer(SimTime::ZERO, conn, 1_000_000).unwrap();
+        let svc = f.try_transfer(SimTime::ZERO, A, Z, 1_000_000).unwrap();
         assert!(svc.end >= SimTime::from_millis(2), "degraded: {}", svc.end);
         // Past the window the link is back to full rate.
-        let svc = f
-            .try_transfer(SimTime::from_secs(2), conn, 1_000_000)
-            .unwrap();
+        let svc = send(&mut f, SimTime::from_secs(2), A, Z, 1_000_000);
         let took = svc.end.saturating_sub(svc.start);
         assert!(took < SimTime::from_nanos(1_100_000), "recovered: {took}");
     }
 
     #[test]
     fn overlapping_degradations_take_the_worst_factor() {
-        let (mut f, conn) = two_node_fabric(8.0);
+        let mut f = two_node_fabric(8.0);
         let sec = SimTime::from_secs;
         f.degrade_link(NodeId(0), LinkDir::Egress, 0.5, sec(0), sec(10));
         f.degrade_link(NodeId(0), LinkDir::Egress, 0.25, sec(0), sec(10));
         // 1 MB at 0.25 GB/s: ~4 ms.
-        let svc = f.try_transfer(SimTime::ZERO, conn, 1_000_000).unwrap();
+        let svc = f.try_transfer(SimTime::ZERO, A, Z, 1_000_000).unwrap();
         assert!(
             svc.end >= SimTime::from_millis(4),
             "worst factor: {}",
@@ -781,79 +557,10 @@ mod tests {
     }
 
     #[test]
-    fn connections_balance_across_nics() {
-        let mut b = FabricBuilder::new();
-        let multi = b.add_node("multi", vec![NicSpec::cx5_100g(), NicSpec::cx5_25g()]);
-        let peer1 = b.add_node("p1", vec![NicSpec::cx5_100g()]);
-        let peer2 = b.add_node("p2", vec![NicSpec::cx5_100g()]);
-        let mut f = b.build();
-        let c1 = f.connect(multi, peer1);
-        let c2 = f.connect(multi, peer2);
-        // The two connections land on different NICs of `multi`.
-        assert_ne!(f.connections[c1.0].from_nic, f.connections[c2.0].from_nic);
-    }
-
-    #[test]
-    fn node_rate_sums_nics() {
-        let mut b = FabricBuilder::new();
-        let n = b.add_node("n", vec![NicSpec::cx5_100g(), NicSpec::cx5_25g()]);
-        let f = b.build();
-        assert_eq!(f.node_rate(n), ByteRate::from_gbps(115.0));
-    }
-
-    #[test]
-    fn cross_rack_traffic_serializes_on_uplinks() {
-        let mut b = FabricBuilder::new();
-        // Two racks joined by a skinny 1 Gbps uplink; NICs are 8 Gbps.
-        let uplink = NicSpec::with_goodput_gbps(1.0);
-        let r0 = b.add_rack(uplink);
-        let r1 = b.add_rack(uplink);
-        let a = b.add_node_in_rack("a", vec![NicSpec::with_goodput_gbps(8.0)], r0);
-        let z = b.add_node_in_rack("z", vec![NicSpec::with_goodput_gbps(8.0)], r1);
-        let peer = b.add_node_in_rack("p", vec![NicSpec::with_goodput_gbps(8.0)], r1);
-        let mut f = b.build();
-        let cross = f.connect(a, z);
-        let local = f.connect(peer, z);
-        // 1 MB rack-local: only NIC speed (~1 ms), no uplink involved.
-        let svc = f.transfer(SimTime::ZERO, local, 1_000_000);
-        assert!(
-            svc.end < SimTime::from_millis(2),
-            "local stays fast: {}",
-            svc.end
-        );
-        // 1 MB cross-rack: gated by the 1 Gbps uplink (~8 ms), not the NICs.
-        let svc = f.transfer(SimTime::ZERO, cross, 1_000_000);
-        assert!(
-            svc.end >= SimTime::from_millis(8),
-            "uplink-bound: {}",
-            svc.end
-        );
-    }
-
-    #[test]
-    fn rackless_nodes_skip_uplinks() {
-        let mut b = FabricBuilder::new();
-        let _ = b.add_rack(NicSpec::with_goodput_gbps(0.1));
-        let a = b.add_node("a", vec![NicSpec::with_goodput_gbps(8.0)]);
-        let z = b.add_node("z", vec![NicSpec::with_goodput_gbps(8.0)]);
-        let mut f = b.build();
-        let c = f.connect(a, z);
-        let svc = f.transfer(SimTime::ZERO, c, 1_000_000);
-        assert!(svc.end < SimTime::from_millis(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "undeclared rack")]
-    fn unknown_rack_rejected() {
-        let mut b = FabricBuilder::new();
-        b.add_node_in_rack("x", vec![NicSpec::cx5_100g()], 0);
-    }
-
-    #[test]
     #[should_panic(expected = "loopback")]
     fn loopback_rejected() {
-        let mut b = FabricBuilder::new();
-        let n = b.add_node("n", vec![NicSpec::cx5_100g()]);
-        b.build().connect(n, n);
+        let mut f = Fabric::new();
+        let n = f.add_node("n", NicSpec::cx5_100g());
+        let _ = f.try_transfer(SimTime::ZERO, n, n, 4096);
     }
 }

@@ -162,14 +162,14 @@ fn bandwidth_aware_beats_random_on_heterogeneous_network() {
     use draid::net::NicSpec;
     let build = |policy: ReducerPolicy| {
         let mut b = ClusterBuilder::new();
-        b.host(vec![NicSpec::cx5_100g()], CpuSpec::default());
+        b.host(NicSpec::cx5_100g(), CpuSpec::default());
         for i in 0..8 {
             let nic = if i >= 5 {
                 NicSpec::cx5_25g()
             } else {
                 NicSpec::cx5_100g()
             };
-            b.server(vec![nic], DriveSpec::default(), CpuSpec::default());
+            b.server(nic, DriveSpec::default(), CpuSpec::default());
         }
         let mut cfg = ArrayConfig::paper_default(SystemKind::Draid);
         cfg.draid = DraidOptions {

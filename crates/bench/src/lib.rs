@@ -8,7 +8,9 @@
 //!
 //! The `all_figures` binary runs the whole evaluation, or the experiments
 //! named by id (`all_figures fig10 table1`), and emits a Markdown report.
-//! Criterion micro-benchmarks live in `benches/`.
+//! The `kernels` and `simperf` binaries measure the EC kernels and the event
+//! engine and write `BENCH_kernels.json` and `BENCH_sim.json`; end-to-end and
+//! per-layer host cost is measured by the `simbench` package.
 //!
 //! The `report` binary is the observability plane's front end: it runs a
 //! reference scenario and attributes the bottleneck per phase, with JSON,

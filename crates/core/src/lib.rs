@@ -74,7 +74,7 @@ pub use dag::{Dag, Step, StepKind};
 pub use datastore::ChunkStore;
 pub use exec::BufPool;
 pub use fault::{FaultAction, FaultManagerConfig, FaultSchedule};
-pub use health::{HealthConfig, HealthMonitor, HealthState, MemberHealth};
+pub use health::{HealthMonitor, HealthState, MemberHealth};
 pub use io::{IoError, IoId, IoKind, IoResult, UserIo};
 pub use layout::{Layout, Segment, StripeIo, WriteMode};
 pub use lock::LockTable;

@@ -14,16 +14,12 @@ pub struct FioJob {
     pub io_size: u64,
     /// Outstanding I/Os (closed loop).
     pub queue_depth: usize,
-    /// Size of the region offsets are drawn from.
+    /// Size of the region offsets are drawn from; offsets are aligned to
+    /// `io_size`.
     pub working_set: u64,
-    /// Offset alignment; defaults to `io_size`.
-    pub align: u64,
     /// When set, every read targets chunks stored on this member — the
     /// rebuild-style workload of Fig. 17a where *all* reads are degraded.
     pub target_member: Option<usize>,
-    /// Sequential instead of random offsets (FIO's `rw=read|write`); the
-    /// cursor wraps at the working-set end.
-    pub sequential: bool,
     /// Workload RNG seed.
     pub seed: u64,
 }
@@ -52,17 +48,9 @@ impl FioJob {
             io_size,
             queue_depth: 32,
             working_set: 16 << 30,
-            align: io_size,
             target_member: None,
-            sequential: false,
             seed: 0xF10,
         }
-    }
-
-    /// Switches to sequential access (builder style).
-    pub fn sequential(mut self) -> Self {
-        self.sequential = true;
-        self
     }
 
     /// Sets the queue depth (builder style).
@@ -109,12 +97,12 @@ impl FioJob {
     }
 
     fn uniform_offset(&self, rng: &mut DetRng) -> u64 {
-        let slots = (self.working_set / self.align).max(1);
-        let mut off = rng.below(slots) * self.align;
+        let slots = (self.working_set / self.io_size).max(1);
+        let mut off = rng.below(slots) * self.io_size;
         // Clamp so the I/O stays inside the working set.
         if off + self.io_size > self.working_set {
             off = self.working_set - self.io_size;
-            off -= off % self.align.min(off.max(1));
+            off -= off % self.io_size.min(off.max(1));
         }
         off
     }
@@ -133,7 +121,7 @@ impl FioJob {
                 let within = if span == 0 || self.io_size >= layout.chunk_size() {
                     0
                 } else {
-                    (rng.below(span / self.align.min(span).max(1) + 1)) * self.align.min(span)
+                    (rng.below(span / self.io_size.min(span).max(1) + 1)) * self.io_size.min(span)
                 };
                 return chunk_base + within.min(span);
             }
@@ -142,14 +130,13 @@ impl FioJob {
     }
 }
 
-/// A stateful stream of I/Os from a [`FioJob`]: owns the RNG and, for
-/// sequential jobs, the advancing cursor. The runners consume jobs through
-/// streams so `FioJob` itself stays a plain, copyable description.
+/// A stateful stream of I/Os from a [`FioJob`]: owns the RNG. The runners
+/// consume jobs through streams so `FioJob` itself stays a plain, copyable
+/// description.
 #[derive(Clone, Debug)]
 pub struct FioStream {
     job: FioJob,
     rng: DetRng,
-    cursor: u64,
 }
 
 impl FioStream {
@@ -157,36 +144,13 @@ impl FioStream {
     pub fn new(job: FioJob) -> Self {
         FioStream {
             rng: DetRng::new(job.seed),
-            cursor: 0,
             job,
         }
     }
 
-    /// The underlying job description.
-    pub fn job(&self) -> &FioJob {
-        &self.job
-    }
-
     /// Draws the next I/O.
     pub fn next_io(&mut self, layout: &Layout) -> UserIo {
-        if self.job.sequential {
-            let kind = if self.rng.chance(self.job.read_ratio) {
-                IoKind::Read
-            } else {
-                IoKind::Write
-            };
-            if self.cursor + self.job.io_size > self.job.working_set {
-                self.cursor = 0;
-            }
-            let offset = self.cursor;
-            self.cursor += self.job.io_size.max(self.job.align);
-            match kind {
-                IoKind::Read => UserIo::read(offset, self.job.io_size),
-                IoKind::Write => UserIo::write(offset, self.job.io_size),
-            }
-        } else {
-            self.job.next_io(&mut self.rng, layout)
-        }
+        self.job.next_io(&mut self.rng, layout)
     }
 }
 
@@ -208,7 +172,7 @@ mod tests {
         let l = layout();
         for _ in 0..1000 {
             let io = job.next_io(&mut rng, &l);
-            assert_eq!(io.offset % job.align, 0);
+            assert_eq!(io.offset % job.io_size, 0);
             assert!(io.offset + io.len <= job.working_set);
             assert_eq!(io.kind, IoKind::Write);
         }
@@ -244,21 +208,6 @@ mod tests {
     #[should_panic(expected = "bad read ratio")]
     fn ratio_validated() {
         FioJob::mixed(1.5, 4096);
-    }
-
-    #[test]
-    fn sequential_stream_advances_and_wraps() {
-        let l = layout();
-        let job = FioJob::random_write(128 * 1024)
-            .working_set(512 * 1024)
-            .sequential();
-        let mut stream = FioStream::new(job);
-        let offsets: Vec<u64> = (0..6).map(|_| stream.next_io(&l).offset).collect();
-        assert_eq!(
-            offsets,
-            vec![0, 131072, 262144, 393216, 0, 131072],
-            "cursor advances by io_size and wraps at the working set"
-        );
     }
 
     #[test]

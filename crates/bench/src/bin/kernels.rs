@@ -3,6 +3,13 @@
 //! syndrome, Reed-Solomon decode) at several buffer sizes and writes
 //! `BENCH_kernels.json`.
 //!
+//! Both decode rows recover data chunks 1 and 4 of a 6+2 stripe and count
+//! the stripe's 6 data chunks as the bytes of a call.
+//! `rs_decode_2_of_6+2` times `ReedSolomon::reconstruct`, which clones the
+//! shards, decodes every data chunk and re-encodes parity;
+//! `rs_decode_data_into_2_of_6+2` times the two `decode_data_into` calls
+//! `ChunkStore` makes, writing into buffers it reuses.
+//!
 //! ```text
 //! cargo run --release -p draid-bench --bin kernels [--quick] [--out PATH]
 //! ```
@@ -137,6 +144,21 @@ fn main() {
             shards[4] = None;
             rs.reconstruct(std::hint::black_box(&mut shards))
                 .expect("decodable");
+        });
+        let survivors: Vec<Option<&[u8]>> = refs
+            .iter()
+            .copied()
+            .chain(parity.iter().map(|p| &p[..]))
+            .enumerate()
+            .map(|(i, s)| (i != 1 && i != 4).then_some(s))
+            .collect();
+        let mut out = vec![0u8; size];
+        measure("rs_decode_data_into_2_of_6+2", size, 6 * size, &mut || {
+            for lost in [1, 4] {
+                rs.decode_data_into(std::hint::black_box(&survivors), lost, &mut out)
+                    .expect("decodable");
+                std::hint::black_box(&mut out);
+            }
         });
     }
 

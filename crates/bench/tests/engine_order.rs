@@ -1,13 +1,16 @@
-//! Order equivalence: `draid_sim::Engine` (slab, same-instant FIFO, and a
-//! separate heap for cancelable timers) must fire every event in exactly the
-//! order of the vendored single-heap `draid_bench::baseline::Engine`.
+//! Order equivalence: `draid_sim::Engine` (slab, same-instant FIFO, a
+//! separate heap for cancelable timers, and unboxed call events) must fire
+//! every event in exactly the order of the vendored single-heap
+//! `draid_bench::baseline::Engine`.
 //!
-//! Seeded random scripts mix plain events, timers, cancels and `run_until`
-//! deadlines, from the top level and from inside firing events. Times are
-//! coarse so events, timers and stale timer entries often share an
-//! instant. The baseline has no cancel, so there a timer is a plain event
-//! whose closure does nothing once canceled; that is the behaviour the
-//! engine's lazy retirement promises to match, down to `events_fired`.
+//! Seeded random scripts mix plain events, timers, call events, call
+//! timers, cancels and `run_until` deadlines, from the top level and from
+//! inside firing events. Times are coarse so events of every form and stale
+//! timer entries often share an instant. The baseline has neither cancel
+//! nor call events: there a timer is a plain event whose closure does
+//! nothing once canceled, and a call event is a closure that makes the
+//! call. That is the behaviour the engine promises to match, down to
+//! `events_fired`.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -25,6 +28,7 @@ const BUDGET: u64 = 1_500;
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Entry {
     Fired { id: u64, at_ns: u64 },
+    Called { id: u64, arg: u64, at_ns: u64 },
     Canceled { timer: usize, ok: bool },
     RanUntil { clock_ns: u64 },
 }
@@ -34,12 +38,17 @@ struct World<T> {
     next_id: u64,
     budget: u64,
     log: Vec<Entry>,
-    /// Every timer armed so far, with its due time.
-    timers: Vec<(T, SimTime)>,
+    /// Every timer armed so far, with its due time and whether it is a
+    /// call timer.
+    timers: Vec<(T, SimTime, bool)>,
     /// Successful cancels of a timer due at the current instant.
     canceled_due_now: u64,
     /// Events scheduled at the current instant (the FIFO path).
     same_instant: u64,
+    /// Call events and call timers scheduled.
+    calls: u64,
+    /// Successful cancels of a call timer.
+    call_cancels: u64,
 }
 
 impl<T> World<T> {
@@ -52,6 +61,8 @@ impl<T> World<T> {
             timers: Vec::new(),
             canceled_due_now: 0,
             same_instant: 0,
+            calls: 0,
+            call_cancels: 0,
         }
     }
 
@@ -78,6 +89,9 @@ impl<T> World<T> {
     }
 }
 
+/// A call event's handler.
+type Call<E> = fn(&mut World<<E as Sched>::Timer>, &mut E, u64, u64);
+
 /// The scheduling API both engines offer the script.
 trait Sched: Sized + 'static {
     type Timer: Clone + 'static;
@@ -88,6 +102,8 @@ trait Sched: Sized + 'static {
         t: SimTime,
         f: impl FnOnce(&mut World<Self::Timer>, &mut Self) + 'static,
     ) -> Self::Timer;
+    fn call_at(&mut self, t: SimTime, f: Call<Self>, a: u64, b: u64);
+    fn call_timer_at(&mut self, t: SimTime, f: Call<Self>, a: u64, b: u64) -> Self::Timer;
     fn cancel(&mut self, timer: &Self::Timer) -> bool;
     fn run_until(&mut self, w: &mut World<Self::Timer>, deadline: SimTime) -> SimTime;
     fn run(&mut self, w: &mut World<Self::Timer>) -> SimTime;
@@ -110,6 +126,12 @@ impl Sched for NewEngine {
         f: impl FnOnce(&mut World<TimerHandle>, &mut Self) + 'static,
     ) -> TimerHandle {
         self.schedule_timer_at(t, f)
+    }
+    fn call_at(&mut self, t: SimTime, f: Call<Self>, a: u64, b: u64) {
+        self.schedule_call_at(t, f, a, b);
+    }
+    fn call_timer_at(&mut self, t: SimTime, f: Call<Self>, a: u64, b: u64) -> TimerHandle {
+        self.schedule_call_timer_at(t, f, a, b)
     }
     fn cancel(&mut self, timer: &TimerHandle) -> bool {
         Engine::cancel(self, *timer)
@@ -161,6 +183,12 @@ impl Sched for BaseEngine {
         });
         BaseTimer(state)
     }
+    fn call_at(&mut self, t: SimTime, f: Call<Self>, a: u64, b: u64) {
+        self.schedule_at(t, move |w, e| f(w, e, a, b));
+    }
+    fn call_timer_at(&mut self, t: SimTime, f: Call<Self>, a: u64, b: u64) -> BaseTimer {
+        self.timer_at(t, move |w, e| f(w, e, a, b))
+    }
     fn cancel(&mut self, timer: &BaseTimer) -> bool {
         let pending = timer.0.get() == TimerState::Pending;
         if pending {
@@ -189,23 +217,39 @@ fn fire<E: Sched>(w: &mut World<E::Timer>, e: &mut E, id: u64) {
     }
 }
 
-/// One random scripted action: schedule a plain event or a timer, or
-/// cancel a random timer or the latest one (often due at this instant).
+/// A call event's handler: logs both arguments, then acts like [`fire`].
+fn fire_call<E: Sched>(w: &mut World<E::Timer>, e: &mut E, id: u64, arg: u64) {
+    w.log.push(Entry::Called {
+        id,
+        arg,
+        at_ns: e.now().as_nanos(),
+    });
+    for _ in 0..w.below(3) {
+        act(w, e);
+    }
+}
+
+/// One random scripted action: schedule a plain event, a timer, a call
+/// event or a call timer, or cancel a random timer or the latest one
+/// (often due at this instant).
 fn act<E: Sched>(w: &mut World<E::Timer>, e: &mut E) {
-    let choice = w.below(5);
-    if choice >= 3 {
+    let choice = w.below(7);
+    if choice >= 5 {
         if w.timers.is_empty() {
             return;
         }
-        let timer = if choice == 3 {
+        let timer = if choice == 5 {
             w.below(w.timers.len() as u64) as usize
         } else {
             w.timers.len() - 1
         };
-        let (handle, due) = w.timers[timer].clone();
+        let (handle, due, is_call) = w.timers[timer].clone();
         let ok = e.cancel(&handle);
         if ok && due == e.now() {
             w.canceled_due_now += 1;
+        }
+        if ok && is_call {
+            w.call_cancels += 1;
         }
         w.log.push(Entry::Canceled { timer, ok });
         return;
@@ -220,11 +264,23 @@ fn act<E: Sched>(w: &mut World<E::Timer>, e: &mut E) {
     if at == e.now() {
         w.same_instant += 1;
     }
-    if choice == 0 {
-        let handle = e.timer_at(at, move |w, e| fire(w, e, id));
-        w.timers.push((handle, at));
-    } else {
-        e.at(at, move |w, e| fire(w, e, id));
+    match choice {
+        0 => {
+            let handle = e.timer_at(at, move |w, e| fire(w, e, id));
+            w.timers.push((handle, at, false));
+        }
+        3 => {
+            w.calls += 1;
+            let arg = w.below(1 << 40);
+            e.call_at(at, fire_call::<E>, id, arg);
+        }
+        4 => {
+            w.calls += 1;
+            let arg = w.below(1 << 40);
+            let handle = e.call_timer_at(at, fire_call::<E>, id, arg);
+            w.timers.push((handle, at, true));
+        }
+        _ => e.at(at, move |w, e| fire(w, e, id)),
     }
 }
 
@@ -235,6 +291,8 @@ struct Outcome {
     clock: SimTime,
     canceled_due_now: u64,
     same_instant: u64,
+    calls: u64,
+    call_cancels: u64,
 }
 
 fn drive<E: Sched>(mut e: E, seed: u64) -> Outcome {
@@ -259,12 +317,15 @@ fn drive<E: Sched>(mut e: E, seed: u64) -> Outcome {
         clock,
         canceled_due_now: w.canceled_due_now,
         same_instant: w.same_instant,
+        calls: w.calls,
+        call_cancels: w.call_cancels,
     }
 }
 
 #[test]
 fn split_queue_engine_fires_in_baseline_order() {
     let (mut canceled_due_now, mut same_instant, mut cancels) = (0, 0, 0);
+    let (mut calls, mut called, mut call_cancels) = (0, 0, 0);
     for seed in 0..48u64 {
         let new = drive(NewEngine::new(), seed);
         let base = drive(BaseEngine::new(), seed);
@@ -285,6 +346,13 @@ fn split_queue_engine_fires_in_baseline_order() {
         assert!(new.clock >= SENTINEL_AT, "seed {seed}: the sentinel fired");
         canceled_due_now += new.canceled_due_now;
         same_instant += new.same_instant;
+        calls += new.calls;
+        call_cancels += new.call_cancels;
+        called += new
+            .log
+            .iter()
+            .filter(|e| matches!(e, Entry::Called { .. }))
+            .count();
         cancels += new
             .log
             .iter()
@@ -300,5 +368,11 @@ fn split_queue_engine_fires_in_baseline_order() {
     assert!(
         same_instant > 100,
         "only {same_instant} same-instant schedules"
+    );
+    assert!(calls > 1000, "only {calls} call events and call timers");
+    assert!(called > 1000, "only {called} call events fired");
+    assert!(
+        call_cancels > 100,
+        "only {call_cancels} successful cancels of call timers"
     );
 }

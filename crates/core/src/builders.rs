@@ -185,7 +185,7 @@ pub(crate) fn build_scrub(ctx: &BuildCtx, stripe: u64) -> Dag {
 
 /// Byte extent `[lo, hi)` within the chunk covering every touched segment —
 /// the region a parity read-modify-write must cover.
-fn parity_extent(io: &StripeIo) -> u64 {
+pub(crate) fn parity_extent(io: &StripeIo) -> u64 {
     let lo = io.segments.iter().map(|s| s.offset).min().unwrap_or(0);
     let hi = io
         .segments

@@ -60,6 +60,7 @@ mod health;
 mod io;
 mod layout;
 mod lock;
+mod plan;
 mod rebuild;
 pub mod reducer;
 mod scrub;

@@ -277,6 +277,8 @@ impl ArraySim {
         }
         self.member_servers[r.member] = r.spare;
         self.member_nodes[r.member] = self.cluster.server_node(r.spare);
+        // Cached plans bind the old drive and node.
+        self.plans.clear();
         self.faulty.remove(&r.member);
         self.reset_member_errors(r.member);
     }

@@ -6,8 +6,9 @@ use std::collections::BTreeSet;
 use bytes::Bytes;
 use draid_block::{Cluster, ServerId};
 use draid_core::{
-    ArrayConfig, ArraySim, DataMode, FaultSchedule, IoKind, RaidLevel, SystemKind, UserIo,
+    ArrayConfig, ArraySim, DataMode, FaultSchedule, IoKind, RaidLevel, StepKind, SystemKind, UserIo,
 };
+use draid_net::NodeId;
 use draid_sim::{DetRng, Engine, SimTime};
 
 const KIB: u64 = 1024;
@@ -199,6 +200,72 @@ fn rebuild_keeps_host_nic_idle() {
     );
     // The spare's drive received every reconstructed chunk.
     assert_eq!(array.cluster.drive(ServerId(5)).writes(), stripes);
+}
+
+/// The servers and nodes the steps of one traced 4 KiB write touch.
+fn write_touches(
+    array: &mut ArraySim,
+    eng: &mut Engine<ArraySim>,
+    offset: u64,
+) -> (BTreeSet<ServerId>, BTreeSet<NodeId>) {
+    array.enable_tracing(1 << 10);
+    array.submit(
+        eng,
+        UserIo::write_bytes(offset, Bytes::from(vec![7u8; 4096])),
+    );
+    eng.run(array);
+    assert!(array.drain_completions().iter().all(|r| r.is_ok()));
+    let trace = array.take_trace().expect("tracing on");
+    let (mut servers, mut nodes) = (BTreeSet::new(), BTreeSet::new());
+    for e in trace.events() {
+        match e.kind {
+            StepKind::DriveRead { server, .. } | StepKind::DriveWrite { server, .. } => {
+                servers.insert(server);
+            }
+            StepKind::Transfer { from, to, .. } => {
+                nodes.extend([from, to]);
+            }
+            _ => {}
+        }
+    }
+    (servers, nodes)
+}
+
+#[test]
+fn ops_after_the_spare_swap_target_the_spare() {
+    // The same write before the failure and after the rebuild has the same
+    // cached-plan key (healthy array, same rotation and segment), so the
+    // swap must retire the plan that binds the lost drive and its node.
+    let (mut array, mut eng) = array_with_spare(RaidLevel::Raid5);
+    let stripes = 2u64;
+    fill(&mut array, &mut eng, stripes, 6);
+    let (victim, spare) = (2, ServerId(5));
+    let (old_node, spare_node) = (
+        array.cluster.server_node(ServerId(victim)),
+        array.cluster.server_node(spare),
+    );
+    let k = array
+        .layout()
+        .data_index_of(0, victim)
+        .expect("data member");
+    let offset = k as u64 * array.layout().chunk_size();
+
+    let (servers, nodes) = write_touches(&mut array, &mut eng, offset);
+    assert!(servers.contains(&ServerId(victim)) && nodes.contains(&old_node));
+
+    array.fail_member(victim);
+    array.start_rebuild(&mut eng, victim, spare, stripes, 1);
+    eng.run(&mut array);
+    assert!(!array.is_degraded(), "rebuild finished");
+
+    let (servers, nodes) = write_touches(&mut array, &mut eng, offset);
+    assert!(servers.contains(&spare), "spare drive unused: {servers:?}");
+    assert!(nodes.contains(&spare_node), "spare node unused: {nodes:?}");
+    assert!(
+        !servers.contains(&ServerId(victim)),
+        "lost drive still targeted"
+    );
+    assert!(!nodes.contains(&old_node), "lost node still targeted");
 }
 
 #[test]

@@ -51,7 +51,7 @@ mod registry;
 mod rng;
 mod time;
 
-pub use engine::{Engine, EngineStats, TimerHandle};
+pub use engine::{CallFn, Engine, EngineStats, TimerHandle};
 pub use invariant::invariants_enabled;
 pub use metrics::{Counter, Histogram, HistogramSummary};
 pub use rate::{ByteRate, RateResource, Service};
